@@ -1,10 +1,11 @@
-"""Benchmark the partition-parallel scan backend against the serial scan.
+"""Benchmark the partition scan sharded across the pool against the inline scan.
 
-Measures wall-clock of the serial ISLA aggregator versus
-:class:`~repro.parallel.PartitionParallelAggregator` at parallelism 2 and 4
-on one multi-block table (best-of-N to damp scheduler noise), and checks
-the seed-determinism contract: the same seed must produce bit-identical
-estimates and CI bounds at parallelism 1, 2 and 4.
+Measures wall-clock of :class:`~repro.core.isla.ISLAAggregator` at
+parallelism 1 (every partition task inline on the caller's thread, the
+default) versus parallelism 2 and 4 on one multi-block table (best-of-N to
+damp scheduler noise), and checks the seed-determinism contract: the same
+seed must produce bit-identical estimates and CI bounds at parallelism 1,
+2 and 4.
 
 Run standalone::
 
@@ -13,7 +14,7 @@ Run standalone::
 
 ``--smoke`` shrinks the table so CI can assert the two acceptance
 properties in seconds: seeded results bit-identical across parallelism
-1/2/4 (always), and the parallel scan beating the serial one (enforced
+1/2/4 (always), and a sharded scan beating the inline one (enforced
 whenever the machine has at least two usable cores — on a single core the
 win is physically impossible and the speed check reports but does not
 fail).

@@ -75,11 +75,10 @@ class ISLAConfig:
     #: clamp the final block answer to sketch0's relaxed confidence interval
     #: (the safeguard discussed for extreme distributions in Section VII-B)
     clamp_to_sketch_interval: bool = False
-    #: partition-parallel scan width: ``None`` keeps the legacy serial scan;
-    #: an integer (>= 1) routes execution through the partition backend
-    #: (:mod:`repro.parallel`) with that many shards.  Seeded results are
-    #: bit-identical across parallelism levels, so this is purely a
-    #: throughput knob.
+    #: partition scan width: how many shards of a scan's per-block partition
+    #: tasks (:mod:`repro.parallel`) run at once; ``None`` (like 1) runs
+    #: them inline on the caller's thread.  Seeded results are bit-identical
+    #: across parallelism levels, so this is purely a throughput knob.
     parallelism: Optional[int] = None
     #: per-shard straggler deadline (milliseconds) for partition-parallel
     #: scans: a partition task still running past it is speculatively

@@ -8,6 +8,15 @@
     result = ISLAAggregator(ISLAConfig(precision=0.1)).aggregate_avg(store)
     print(result.value, result.interval)
 
+The paper's Calculation module runs on each block independently and
+Summarization merges the per-block partial answers (Section VII-E), so the
+aggregator runs pre-estimation once on the caller's thread and then every
+block as one partition task of a :class:`~repro.parallel.pool.ScanPool`
+scan — inline on the caller's thread at parallelism 1 (the default),
+sharded across the pool's threads above it.  Each block draws from its own
+stream of the scan's :class:`~repro.parallel.seeding.ScanStreams`, so a
+seeded answer is bit-identical at every parallelism.
+
 The aggregator never materialises samples: each block contributes only its
 ``paramS`` / ``paramL`` power sums, which also makes the online-aggregation
 extension (Section VII-A) a natural continuation of the same state.
@@ -15,8 +24,9 @@ extension (Section VII-A) a natural continuation of the same state.
 
 from __future__ import annotations
 
+import math
 from contextlib import nullcontext
-from typing import Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
 
@@ -27,11 +37,34 @@ from repro.core.config import ISLAConfig
 from repro.core.pre_estimation import PreEstimate, PreEstimator
 from repro.core.result import AggregateResult, BlockResult
 from repro.core.summarization import combine_block_results
-from repro.errors import EmptyDataError
+from repro.errors import EmptyDataError, PartialResultError
+from repro.parallel.pool import ScanPool, shared_scan_pool
+from repro.parallel.seeding import ScanStreams, SeedLike
 from repro.stats.confidence import ConfidenceInterval
 from repro.storage.blockstore import BlockStore
 
-__all__ = ["ISLAAggregator"]
+__all__ = ["ISLAAggregator", "degraded_radius"]
+
+
+def degraded_radius(
+    precision: float, planned_samples: int, surviving_samples: int
+) -> float:
+    """Widened CI half-width after losing partitions.
+
+    Definition 1 ties the half-width to the sample size through
+    ``e = u * sigma / sqrt(m)``: the requested ``precision`` was budgeted for
+    ``planned_samples`` draws, so an answer backed by only
+    ``surviving_samples`` of them carries half-width
+    ``precision * sqrt(planned / surviving)`` at the *same* confidence.
+    This is what makes a degraded answer statistically honest: the
+    confidence level is preserved and the interval widens to pay for the
+    missing data.
+    """
+    if surviving_samples <= 0:
+        raise PartialResultError("no surviving samples to widen a CI over")
+    if planned_samples <= surviving_samples:
+        return precision
+    return precision * math.sqrt(planned_samples / surviving_samples)
 
 
 class ISLAAggregator:
@@ -42,12 +75,30 @@ class ISLAAggregator:
     def __init__(
         self,
         config: Optional[ISLAConfig] = None,
-        seed: Optional[int] = None,
+        seed: SeedLike = None,
+        pool: Optional[ScanPool] = None,
+        parallelism: Optional[int] = None,
     ) -> None:
         self.config = config or ISLAConfig()
         # An explicit seed argument overrides the config seed for convenience.
         self._seed = seed if seed is not None else self.config.seed
         self._telemetry: Optional[obs.Telemetry] = None
+        self._pool = pool
+        resolved = parallelism if parallelism is not None else self.config.parallelism
+        #: shards the block scan may run concurrently (1 = inline)
+        self.parallelism = max(1, int(resolved)) if resolved is not None else 1
+        timeout_ms = self.config.straggler_timeout_ms
+        #: per-shard straggler deadline in seconds (None disables the watchdog)
+        self.straggler_timeout = (
+            timeout_ms / 1000.0 if timeout_ms is not None else None
+        )
+
+    @property
+    def pool(self) -> ScanPool:
+        """The scan pool partition shards are submitted to."""
+        if self._pool is None:
+            self._pool = shared_scan_pool()
+        return self._pool
 
     @property
     def telemetry(self) -> Optional[obs.Telemetry]:
@@ -92,22 +143,36 @@ class ISLAAggregator:
             to give ISLA one third of the baselines' budget).  When omitted
             the rate comes from Eq. 1 via pre-estimation.
         rng:
-            Optional random generator (a fresh seeded generator is created
-            otherwise).
+            Optional generator whose seed sequence keys the scan's streams
+            in place of the aggregator's seed.
         pre_estimate:
             Re-use an existing pre-estimate (the online extension passes the
             one from the previous round).
+
+        Partitions that fail (fault injection, a crashed task) are left
+        out: the answer is re-estimated from the surviving blocks and its
+        interval widened by :func:`degraded_radius`.
         """
         column = store.validate_column(column)
-        if store.total_rows == 0:
+        # One block list per scan: an append racing this query must not
+        # change the blocks between pre-estimation, the scan and the merge.
+        store = store.snapshot()
+        blocks = store.blocks
+        total_rows = store.total_rows
+        if total_rows == 0:
             raise EmptyDataError(f"store {store.name!r} has no rows")
-        generator = rng if rng is not None else np.random.default_rng(self._seed)
+        streams = ScanStreams(rng if rng is not None else self._seed)
 
         with self._telemetry_scope(), obs.stopwatch(
-            "isla.aggregate", table=store.name, column=column, method=self.method
+            "isla.aggregate",
+            table=store.name,
+            column=column,
+            method=self.method,
+            parallelism=self.parallelism,
+            partitions=len(blocks),
         ) as watch:
             estimate = pre_estimate or PreEstimator(self.config).estimate(
-                store, column, generator
+                store, column, streams.pre_phase
             )
             sampling_rate = rate if rate is not None else estimate.sampling_rate
 
@@ -115,30 +180,74 @@ class ISLAAggregator:
             # shift the boundaries and samples into positive territory,
             # aggregate, then shift the answer back.
             offset = self._translation_offset(estimate)
+            sketch_shifted = estimate.sketch0 + offset
             boundaries = DataBoundaries.from_sketch(
-                estimate.sketch0 + offset,
+                sketch_shifted,
                 estimate.sigma,
                 p1=self.config.p1,
                 p2=self.config.p2,
             )
+            calculator = BlockCalculator(self.config)
 
-            block_results = self._run_blocks(
-                store,
-                column,
-                sampling_rate,
-                boundaries,
-                estimate,
-                offset,
-                generator,
+            def run_partition(index: int) -> BlockResult:
+                block = blocks[index]
+                if offset != 0.0:
+                    block = _shifted_block(block, column, offset)
+                with obs.span("isla.block", block=block.block_id) as sp:
+                    result = calculator.run(
+                        block,
+                        column,
+                        sampling_rate,
+                        boundaries,
+                        sketch_shifted,
+                        streams.generator(index),
+                        sketch_interval_radius=estimate.relaxed_precision,
+                    )
+                    sp.set_tag("sample_size", result.sample_size)
+                    sp.set_tag("iterations", result.iterations)
+                return result
+
+            scan = self.pool.scan_partial(
+                run_partition,
+                range(len(blocks)),
+                self.parallelism,
+                table=store.name,
+                keys=[block.block_id for block in blocks],
+                straggler_timeout=self.straggler_timeout,
             )
+            block_results: List[BlockResult] = scan.completed()
+            if not block_results:
+                raise PartialResultError(
+                    f"every partition of {store.name!r} failed "
+                    f"({len(scan.failures)} failures, first: {scan.failures[0].error!r})"
+                )
+            obs.counter("parallel.partitions", len(block_results))
+            if scan.failures:
+                obs.counter("degraded.partitions_lost", len(scan.failures))
+                watch.set_tag("failed_partitions", len(scan.failures))
             combined = combine_block_results(block_results) - offset
             watch.set_tag("sampling_rate", sampling_rate)
             watch.set_tag("blocks", len(block_results))
         elapsed = watch.elapsed_seconds
 
+        degraded = not scan.ok
+        surviving_samples = sum(block.sample_size for block in block_results)
+        surviving_rows = sum(block.block_size for block in block_results)
+        radius = self.config.precision
+        if degraded:
+            # The rate was budgeted for the full table; re-derive the planned
+            # draw count and widen the interval for the samples we lost.
+            planned_samples = max(
+                surviving_samples, int(round(sampling_rate * total_rows))
+            )
+            radius = degraded_radius(
+                self.config.precision, planned_samples, surviving_samples
+            )
+            obs.counter("degraded.answers")
+
         interval = ConfidenceInterval(
             center=combined,
-            radius=self.config.precision,
+            radius=radius,
             confidence=self.config.confidence,
         )
         return AggregateResult(
@@ -150,14 +259,17 @@ class ISLAAggregator:
             confidence=self.config.confidence,
             interval=interval,
             sampling_rate=sampling_rate,
-            sample_size=sum(block.sample_size for block in block_results),
+            sample_size=surviving_samples,
             sketch0=estimate.sketch0,
             sigma_estimate=estimate.sigma,
-            data_size=store.total_rows,
+            data_size=total_rows,
             block_results=tuple(block_results),
             method=self.method,
             elapsed_seconds=elapsed,
             translation_offset=offset,
+            degraded=degraded,
+            failed_partitions=tuple(sorted(scan.failed_keys)),
+            sample_fraction=surviving_rows / total_rows,
         )
 
     # ------------------------------------------------------------------ SUM
@@ -171,7 +283,7 @@ class ISLAAggregator:
     ) -> AggregateResult:
         """Approximate ``SUM(column)``: the AVG answer multiplied by ``M``."""
         avg_result = self.aggregate_avg(store, column, rate=rate, rng=rng)
-        data_size = store.total_rows
+        data_size = avg_result.data_size
         interval = ConfidenceInterval(
             center=avg_result.value * data_size,
             radius=avg_result.precision * data_size,
@@ -211,37 +323,6 @@ class ISLAAggregator:
         if lower_reach >= 0.0:
             return 0.0
         return -lower_reach
-
-    def _run_blocks(
-        self,
-        store: BlockStore,
-        column: str,
-        sampling_rate: float,
-        boundaries: DataBoundaries,
-        estimate: PreEstimate,
-        offset: float,
-        rng: np.random.Generator,
-    ) -> Sequence[BlockResult]:
-        calculator = BlockCalculator(self.config)
-        sketch_shifted = estimate.sketch0 + offset
-        results = []
-        for block in store.blocks:
-            if offset != 0.0:
-                block = _shifted_block(block, column, offset)
-            with obs.span("isla.block", block=block.block_id) as sp:
-                result = calculator.run(
-                    block,
-                    column,
-                    sampling_rate,
-                    boundaries,
-                    sketch_shifted,
-                    rng,
-                    sketch_interval_radius=estimate.relaxed_precision,
-                )
-                sp.set_tag("sample_size", result.sample_size)
-                sp.set_tag("iterations", result.iterations)
-            results.append(result)
-        return results
 
 
 def _shifted_block(block, column, offset):

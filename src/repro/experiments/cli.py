@@ -70,9 +70,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--parallelism", type=int, default=None, metavar="N",
-        help="partition-parallel scan width: shard block scans across the "
-             "shared scan pool (default: serial; seeded answers are "
-             "bit-identical at any width)",
+        help="partition scan width: shard block scans across the shared "
+             "scan pool (default: 1, inline on the caller's thread; seeded "
+             "answers are bit-identical at any width)",
     )
     serving = parser.add_argument_group(
         "serving", "options for the 'serve' entry point (query-serving benchmark)"
@@ -184,7 +184,7 @@ def _run_load(args) -> str:
 
 
 def _run_parallel(args) -> str:
-    """The ``parallel`` entry point: serial vs partition-parallel scan bench."""
+    """The ``parallel`` entry point: inline vs sharded partition scan bench."""
     from repro.parallel.bench import format_report, run_benchmark
 
     levels = (2, 4)
@@ -233,7 +233,7 @@ def main(argv: Optional[List[str]] = None) -> int:
               "(worker pool + precision-aware cache; --data-dir serves "
               "from durable stores)")
         print(f"  {'parallel':16s} partition-parallel scan benchmark "
-              "(serial vs sharded, determinism check)")
+              "(inline vs sharded, determinism check)")
         print(f"  {'save':16s} snapshot synthetic tables into --data-dir "
               "(atomic, crash-safe durable stores)")
         print(f"  {'load':16s} open the durable stores under --data-dir and "

@@ -6,16 +6,17 @@
   sampling rates for non-i.i.d. blocks (VII-C).
 * :mod:`repro.extensions.extreme` — leverage-guided MIN/MAX aggregation
   (VII-D, sketched in the paper as work in progress).
-* :mod:`repro.extensions.distributed` — thread-parallel execution of the
-  Calculation module, mirroring the distributed deployment of VII-E.
 * :mod:`repro.extensions.time_constraint` — execute within a wall-clock
   budget by sizing the sample from a calibration run (VII-F).
+
+The distributed deployment of VII-E (per-block partial answers combined by
+a coordinator) is not an extension: every :class:`~repro.core.isla.ISLAAggregator`
+scan runs that way (``ISLAAggregator(parallelism=4)``).
 """
 
 from repro.extensions.online import OnlineAggregator, OnlineState
 from repro.extensions.noniid import NonIIDAggregator
 from repro.extensions.extreme import ExtremeValueAggregator, ExtremeResult
-from repro.extensions.distributed import ParallelISLAAggregator
 from repro.extensions.time_constraint import TimeConstrainedAggregator
 
 __all__ = [
@@ -24,6 +25,5 @@ __all__ = [
     "NonIIDAggregator",
     "ExtremeValueAggregator",
     "ExtremeResult",
-    "ParallelISLAAggregator",
     "TimeConstrainedAggregator",
 ]

@@ -309,8 +309,9 @@ def summarize_trace(root: Span) -> Dict[str, Any]:
 
     Returns ``{"counters": {...}, "stage_seconds": {...}}`` where counters
     accumulate the well-known tags (``rows`` on ``sample.draw`` spans,
-    ``iterations`` on ``isla.iteration`` spans) and ``stage_seconds`` sums the
-    wall-clock duration of every span name.
+    ``iterations`` on ``isla.iteration`` spans), count one ISLA block per
+    ``isla.block`` span, and ``stage_seconds`` sums the wall-clock duration
+    of every span name.
     """
     counters: Dict[str, float] = {"spans": 0}
     stage_seconds: Dict[str, float] = {}
@@ -329,5 +330,6 @@ def summarize_trace(root: Span) -> Dict[str, Any]:
                 counters.get("isla.iterations", 0.0)
                 + float(span.tags.get("iterations", 0) or 0)
             )
+        elif span.name == "isla.block":
             counters["isla.blocks"] = counters.get("isla.blocks", 0.0) + 1
     return {"counters": counters, "stage_seconds": stage_seconds}

@@ -1,32 +1,28 @@
-"""Partition-parallel execution backend.
+"""The partition scan every query runs on.
 
 The scan over storage blocks is the system's hot loop, and the paper's
 estimators are embarrassingly parallel over blocks: every block folds into
-self-contained partial aggregates that the Summarization step merges.  This
-package shards that loop:
+self-contained partial aggregates that the Summarization step merges.  ISLA
+(:class:`~repro.core.isla.ISLAAggregator`), every sampling baseline
+(:meth:`~repro.sampling.base.BaselineAggregator.aggregate`) and ``EXACT``
+run each block as one partition task of this package's pool:
 
-* :mod:`repro.parallel.seeding` — the seed-determinism contract (one
-  ``SeedSequence`` child per partition in canonical order) shared with the
-  serving layer, so results are bit-identical at any parallelism;
+* :mod:`repro.parallel.seeding` — the seed-determinism contract: each
+  partition's random stream is derived from the scan's key plus the
+  partition index, shared with the serving layer, so results are
+  bit-identical at any parallelism;
 * :mod:`repro.parallel.pool` — the process-wide :class:`ScanPool` every
-  parallel scan submits shards to (serve workers share it, so concurrent
-  queries never oversubscribe the machine);
-* :mod:`repro.parallel.isla` — :class:`PartitionParallelAggregator`, the
-  ISLA pipeline with a sharded Calculation phase;
-* :mod:`repro.parallel.baselines` — partition kernels for the sampling
-  baselines (US, STS, MV, MVB, SLEV, BILEVEL, EBS, BLOCK) plus an exact
-  parallel mean;
-* :mod:`repro.parallel.bench` — the serial-vs-parallel benchmark behind
+  scan submits shards to (serve workers share it, so concurrent queries
+  never oversubscribe the machine);
+* :mod:`repro.parallel.bench` — the parallelism benchmark behind
   ``benchmarks/bench_parallel_scan.py``.
 
-Enable it per engine (``AQPEngine(parallelism=4)``), per config
-(``ISLAConfig(parallelism=4)``) or from the CLI (``--parallelism 4``);
-``parallelism=None`` (the default) keeps the legacy serial path.
+``parallelism`` (``AQPEngine(parallelism=4)``, ``ISLAConfig(parallelism=4)``
+or ``--parallelism 4`` on the CLI) is how many shards one scan may run
+concurrently; the default runs the partition tasks inline on the caller's
+thread.
 """
 
-from repro.parallel.baselines import parallel_baseline_aggregate, parallel_exact_mean
-from repro.parallel.bench import BenchReport, build_bench_store, format_report, run_benchmark
-from repro.parallel.isla import PartitionParallelAggregator, degraded_radius
 from repro.parallel.pool import (
     PartialScanResult,
     PartitionFailure,
@@ -35,30 +31,16 @@ from repro.parallel.pool import (
     reset_shared_scan_pool,
     shared_scan_pool,
 )
-from repro.parallel.seeding import (
-    SeedLike,
-    as_seed_sequence,
-    partition_generators,
-    spawn_scan_seeds,
-)
+from repro.parallel.seeding import ScanStreams, SeedLike, as_seed_sequence
 
 __all__ = [
-    "BenchReport",
     "PartialScanResult",
     "PartitionFailure",
-    "PartitionParallelAggregator",
     "ScanPool",
+    "ScanStreams",
     "SeedLike",
     "as_seed_sequence",
-    "build_bench_store",
     "default_parallelism",
-    "degraded_radius",
-    "format_report",
-    "parallel_baseline_aggregate",
-    "parallel_exact_mean",
-    "partition_generators",
     "reset_shared_scan_pool",
-    "run_benchmark",
     "shared_scan_pool",
-    "spawn_scan_seeds",
 ]

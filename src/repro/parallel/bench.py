@@ -1,21 +1,22 @@
-"""Benchmark logic for the partition-parallel scan backend.
+"""Benchmark logic for the partition scan's parallelism.
 
 ``benchmarks/bench_parallel_scan.py`` is a thin CLI over this module so the
 measurement code is importable (and unit-testable) like everything else.
 
 Two things are measured on one multi-block table:
 
-* **throughput** — wall-clock of the serial aggregator versus the partition
-  backend at increasing parallelism (best-of-``repeats`` to damp scheduler
-  noise);
+* **throughput** — wall-clock of the inline scan (parallelism 1: every
+  partition task on the caller's thread, the default) versus the same scan
+  sharded across the pool at increasing parallelism (best-of-``repeats``
+  to damp scheduler noise);
 * **determinism** — the same seed must give bit-identical estimates and CI
   bounds at parallelism 1, 2 and 4 (the contract of
   :mod:`repro.parallel.seeding`).
 
 The determinism check is unconditional.  The speed check needs at least two
 usable cores to be physically winnable, so :func:`run_benchmark` reports
-``speedup_expected`` and the smoke harness only enforces "parallel beats
-serial" when the machine can deliver it (CI runners can; a 1-core container
+``speedup_expected`` and the smoke harness only enforces "sharded beats
+inline" when the machine can deliver it (CI runners can; a 1-core container
 cannot).
 """
 
@@ -30,7 +31,6 @@ import numpy as np
 
 from repro.core.config import ISLAConfig
 from repro.core.isla import ISLAAggregator
-from repro.parallel.isla import PartitionParallelAggregator
 from repro.parallel.pool import ScanPool
 from repro.storage.blockstore import BlockStore
 
@@ -46,7 +46,8 @@ class BenchReport:
 
     rows: int
     blocks: int
-    serial_seconds: float
+    #: best wall-clock of the inline scan (parallelism 1)
+    inline_seconds: float
     parallel_seconds: Dict[int, float] = field(default_factory=dict)
     deterministic: bool = False
     determinism_values: Dict[int, float] = field(default_factory=dict)
@@ -59,18 +60,18 @@ class BenchReport:
 
     @property
     def speedup(self) -> float:
-        """Serial wall-clock over the best parallel wall-clock."""
-        return self.serial_seconds / max(self.best_parallel_seconds, 1e-12)
+        """Inline wall-clock over the best sharded wall-clock."""
+        return self.inline_seconds / max(self.best_parallel_seconds, 1e-12)
 
     @property
-    def parallel_beats_serial(self) -> bool:
-        return self.best_parallel_seconds < self.serial_seconds
+    def parallel_beats_inline(self) -> bool:
+        return self.best_parallel_seconds < self.inline_seconds
 
     def passed(self) -> bool:
         """The smoke criterion: determinism always, speed when winnable."""
         if not self.deterministic:
             return False
-        if self.speedup_expected and not self.parallel_beats_serial:
+        if self.speedup_expected and not self.parallel_beats_inline:
             return False
         return True
 
@@ -105,35 +106,32 @@ def run_benchmark(
     parallelism_levels: Sequence[int] = (2, 4),
     config: Optional[ISLAConfig] = None,
 ) -> BenchReport:
-    """Benchmark serial vs partition-parallel ISLA on one synthetic table."""
+    """Benchmark the inline ISLA scan against sharded scans on one table."""
     store = build_bench_store(rows, blocks, seed=seed)
     config = config or ISLAConfig(precision=0.5)
     report = BenchReport(
         rows=store.total_rows,
         blocks=store.block_count,
-        serial_seconds=0.0,
+        inline_seconds=0.0,
         speedup_expected=(os.cpu_count() or 1) >= 2,
     )
 
-    serial = ISLAAggregator(config, seed=seed)
-    report.serial_seconds = _time_best(lambda: serial.aggregate_avg(store), repeats)
-
     with ScanPool(max_workers=max(parallelism_levels)) as pool:
+        def aggregator(level: int) -> ISLAAggregator:
+            return ISLAAggregator(config, seed=seed, pool=pool, parallelism=level)
+
+        inline = aggregator(1)
+        report.inline_seconds = _time_best(lambda: inline.aggregate_avg(store), repeats)
         for level in parallelism_levels:
-            aggregator = PartitionParallelAggregator(
-                config, seed=seed, pool=pool, parallelism=level
-            )
+            sharded = aggregator(level)
             report.parallel_seconds[level] = _time_best(
-                lambda: aggregator.aggregate_avg(store), repeats
+                lambda: sharded.aggregate_avg(store), repeats
             )
 
         # Determinism: same seed, varying parallelism — values and CI bounds
         # must be bit-identical, not merely approximately equal.
         for level in DETERMINISM_LEVELS:
-            aggregator = PartitionParallelAggregator(
-                config, seed=seed, pool=pool, parallelism=level
-            )
-            result = aggregator.aggregate_avg(store)
+            result = aggregator(level).aggregate_avg(store)
             report.determinism_values[level] = result.value
             report.determinism_bounds[level] = (
                 result.interval.low,
@@ -150,13 +148,13 @@ def format_report(report: BenchReport) -> str:
     """Human-readable benchmark report."""
     lines: List[str] = [
         f"parallel scan benchmark — {report.rows} rows in {report.blocks} blocks",
-        f"  serial            {report.serial_seconds * 1000.0:8.1f} ms",
+        f"  inline (p=1)      {report.inline_seconds * 1000.0:8.1f} ms",
     ]
     for level in sorted(report.parallel_seconds):
         seconds = report.parallel_seconds[level]
         lines.append(
             f"  parallelism={level:<3d}   {seconds * 1000.0:8.1f} ms"
-            f"  ({report.serial_seconds / max(seconds, 1e-12):4.2f}x)"
+            f"  ({report.inline_seconds / max(seconds, 1e-12):4.2f}x)"
         )
     lines.append(
         f"  determinism (p={list(DETERMINISM_LEVELS)}): "
@@ -166,7 +164,7 @@ def format_report(report: BenchReport) -> str:
     if not report.speedup_expected:
         lines.append(
             "  speed check skipped: single usable core "
-            "(os.cpu_count() < 2), parallel cannot beat serial here"
+            "(os.cpu_count() < 2), a sharded scan cannot beat the inline one here"
         )
     lines.append("  PASS" if report.passed() else "  FAIL")
     return "\n".join(lines)

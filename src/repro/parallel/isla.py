@@ -1,226 +1,16 @@
-"""Partition-parallel ISLA aggregation.
+"""The partition-parallel ISLA names, kept for existing imports.
 
-The paper's Calculation module is embarrassingly parallel over blocks: each
-block folds its samples into self-contained ``paramS``/``paramL`` region
-moments and the Summarization step only needs the per-block partial answers.
-:class:`PartitionParallelAggregator` exploits that: the serial pre-estimation
-runs once on the caller's thread, then every block becomes one partition task
-(sampling phase + iteration phase) sharded across the shared
-:class:`~repro.parallel.pool.ScanPool`, and the partial answers merge through
-the *same* summarization and confidence machinery as the serial aggregator —
-so the returned value and CI are drawn from an identically distributed
-estimator, and a given seed yields bit-identical answers at any parallelism
-(see :mod:`repro.parallel.seeding`).
+The partition pipeline is :class:`~repro.core.isla.ISLAAggregator` itself:
+every ISLA query runs pre-estimation on the caller's thread and each block
+as a partition task of the scan pool.  ``PartitionParallelAggregator`` is
+that same class object (an alias, not a subclass), so code that resolves
+``PartitionParallelAggregator.aggregate_avg`` and
+``ISLAAggregator.aggregate_avg`` reaches one function.
 """
 
-from __future__ import annotations
-
-import math
-from typing import List, Optional
-
-import numpy as np
-
-from repro import obs
-from repro.core.boundaries import DataBoundaries
-from repro.core.calculation import BlockCalculator
-from repro.core.config import ISLAConfig
-from repro.core.isla import ISLAAggregator, _shifted_block
-from repro.core.pre_estimation import PreEstimate, PreEstimator
-from repro.core.result import AggregateResult, BlockResult
+from repro.core.isla import ISLAAggregator
 from repro.core.summarization import combine_block_results
-from repro.errors import EmptyDataError, PartialResultError
-from repro.parallel.pool import PartialScanResult, ScanPool, shared_scan_pool
-from repro.parallel.seeding import SeedLike, spawn_scan_seeds
-from repro.stats.confidence import ConfidenceInterval
-from repro.storage.blockstore import BlockStore
 
-__all__ = ["PartitionParallelAggregator", "degraded_radius"]
+__all__ = ["PartitionParallelAggregator", "combine_block_results"]
 
-
-def degraded_radius(
-    precision: float, planned_samples: int, surviving_samples: int
-) -> float:
-    """Widened CI half-width after losing partitions.
-
-    Definition 1 ties the half-width to the sample size through
-    ``e = u * sigma / sqrt(m)``: the requested ``precision`` was budgeted for
-    ``planned_samples`` draws, so an answer backed by only
-    ``surviving_samples`` of them carries half-width
-    ``precision * sqrt(planned / surviving)`` at the *same* confidence.
-    This is what makes a degraded answer statistically honest: the
-    confidence level is preserved and the interval widens to pay for the
-    missing data.
-    """
-    if surviving_samples <= 0:
-        raise PartialResultError("no surviving samples to widen a CI over")
-    if planned_samples <= surviving_samples:
-        return precision
-    return precision * math.sqrt(planned_samples / surviving_samples)
-
-
-class PartitionParallelAggregator(ISLAAggregator):
-    """ISLA aggregation with the block scan sharded across a scan pool."""
-
-    method = "ISLA"
-
-    def __init__(
-        self,
-        config: Optional[ISLAConfig] = None,
-        seed: SeedLike = None,
-        pool: Optional[ScanPool] = None,
-        parallelism: Optional[int] = None,
-    ) -> None:
-        super().__init__(config, seed=None)
-        # The base class only accepts int seeds; the scan contract also
-        # takes SeedSequence children handed down by the serving layer.
-        self._seed = seed if seed is not None else self.config.seed
-        self._pool = pool
-        resolved = parallelism if parallelism is not None else self.config.parallelism
-        self.parallelism = max(1, int(resolved)) if resolved is not None else 1
-        timeout_ms = self.config.straggler_timeout_ms
-        #: per-shard straggler deadline in seconds (None disables the watchdog)
-        self.straggler_timeout = (
-            timeout_ms / 1000.0 if timeout_ms is not None else None
-        )
-
-    @property
-    def pool(self) -> ScanPool:
-        """The scan pool partition shards are submitted to."""
-        if self._pool is None:
-            self._pool = shared_scan_pool()
-        return self._pool
-
-    # ------------------------------------------------------------------ AVG
-    def aggregate_avg(
-        self,
-        store: BlockStore,
-        column: Optional[str] = None,
-        *,
-        rate: Optional[float] = None,
-        rng: Optional[np.random.Generator] = None,
-        pre_estimate: Optional[PreEstimate] = None,
-    ) -> AggregateResult:
-        """Partition-parallel version of :meth:`ISLAAggregator.aggregate_avg`.
-
-        Mirrors the serial pipeline — pre-estimation, negative-data
-        translation, per-block calculation, summarization — with the block
-        loop replaced by sharded partition tasks, each consuming its own
-        seed child.  Passing ``rng`` roots the partition spawn at that
-        generator's seed sequence.
-        """
-        column = store.validate_column(column)
-        if store.total_rows == 0:
-            raise EmptyDataError(f"store {store.name!r} has no rows")
-        pre_seed, partition_seeds = spawn_scan_seeds(
-            rng if rng is not None else self._seed, store.block_count
-        )
-
-        with self._telemetry_scope(), obs.stopwatch(
-            "parallel.scan",
-            table=store.name,
-            column=column,
-            method=self.method,
-            parallelism=self.parallelism,
-            partitions=store.block_count,
-        ) as watch:
-            pre_rng = np.random.default_rng(pre_seed)
-            estimate = pre_estimate or PreEstimator(self.config).estimate(
-                store, column, pre_rng
-            )
-            sampling_rate = rate if rate is not None else estimate.sampling_rate
-
-            offset = self._translation_offset(estimate)
-            boundaries = DataBoundaries.from_sketch(
-                estimate.sketch0 + offset,
-                estimate.sigma,
-                p1=self.config.p1,
-                p2=self.config.p2,
-            )
-            sketch_shifted = estimate.sketch0 + offset
-            calculator = BlockCalculator(self.config)
-
-            def run_partition(task) -> BlockResult:
-                block, child_seed = task
-                if offset != 0.0:
-                    block = _shifted_block(block, column, offset)
-                block_rng = np.random.default_rng(child_seed)
-                with obs.span("parallel.partition", block=block.block_id) as sp:
-                    result = calculator.run(
-                        block,
-                        column,
-                        sampling_rate,
-                        boundaries,
-                        sketch_shifted,
-                        block_rng,
-                        sketch_interval_radius=estimate.relaxed_precision,
-                    )
-                    sp.set_tag("sample_size", result.sample_size)
-                    sp.set_tag("iterations", result.iterations)
-                return result
-
-            scan: PartialScanResult = self.pool.scan_partial(
-                run_partition,
-                list(zip(store.blocks, partition_seeds)),
-                self.parallelism,
-                table=store.name,
-                keys=[block.block_id for block in store.blocks],
-                straggler_timeout=self.straggler_timeout,
-            )
-            block_results: List[BlockResult] = scan.completed()
-            if not block_results:
-                raise PartialResultError(
-                    f"every partition of {store.name!r} failed "
-                    f"({len(scan.failures)} failures, first: {scan.failures[0].error!r})"
-                )
-            obs.counter("parallel.partitions", len(block_results))
-            if scan.failures:
-                obs.counter("degraded.partitions_lost", len(scan.failures))
-                watch.set_tag("failed_partitions", len(scan.failures))
-            combined = combine_block_results(block_results) - offset
-            watch.set_tag("sampling_rate", sampling_rate)
-            watch.set_tag("blocks", len(block_results))
-        elapsed = watch.elapsed_seconds
-
-        degraded = not scan.ok
-        surviving_samples = sum(block.sample_size for block in block_results)
-        surviving_rows = sum(block.block_size for block in block_results)
-        radius = self.config.precision
-        if degraded:
-            # The rate was budgeted for the full table; re-derive the planned
-            # draw count and widen the interval for the samples we lost.
-            planned_samples = max(
-                surviving_samples, int(round(sampling_rate * store.total_rows))
-            )
-            radius = degraded_radius(
-                self.config.precision, planned_samples, surviving_samples
-            )
-            obs.counter("degraded.answers")
-
-        interval = ConfidenceInterval(
-            center=combined,
-            radius=radius,
-            confidence=self.config.confidence,
-        )
-        return AggregateResult(
-            value=combined,
-            aggregate="avg",
-            column=column,
-            table=store.name,
-            precision=self.config.precision,
-            confidence=self.config.confidence,
-            interval=interval,
-            sampling_rate=sampling_rate,
-            sample_size=surviving_samples,
-            sketch0=estimate.sketch0,
-            sigma_estimate=estimate.sigma,
-            data_size=store.total_rows,
-            block_results=tuple(block_results),
-            method=self.method,
-            elapsed_seconds=elapsed,
-            translation_offset=offset,
-            degraded=degraded,
-            failed_partitions=tuple(sorted(scan.failed_keys)),
-            sample_fraction=(
-                surviving_rows / store.total_rows if store.total_rows else 1.0
-            ),
-        )
+PartitionParallelAggregator = ISLAAggregator

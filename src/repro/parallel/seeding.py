@@ -3,34 +3,56 @@
 Both concurrency layers of the system follow one rule so that seeded runs
 are bit-for-bit reproducible regardless of how much hardware executes them:
 
-**every independently scheduled unit of randomness gets its own
-``np.random.SeedSequence`` child, spawned from one root in a canonical
-order that does not depend on worker count or scheduling.**
+**every independently scheduled unit of randomness draws from its own
+stream, named by a key that does not depend on worker count or
+scheduling.**
 
-* The serving layer (:mod:`repro.serve`) spawns one child per *submitted
-  query*, in submission order, so a seeded :class:`~repro.serve.QueryService`
-  answers identically no matter how its worker threads interleave.
-* The parallel scan backend (:mod:`repro.parallel`) spawns one child per
-  *partition* (storage block), in canonical block order, plus one leading
-  child for the pre-scan phase (pilot sampling / pre-estimation).  Worker
-  threads only decide *when* a partition runs, never *which random stream*
-  it consumes, so estimates and confidence bounds are bit-identical at
-  parallelism 1, 2, 4, ... for the same seed.
+* The serving layer (:mod:`repro.serve`) spawns one
+  ``np.random.SeedSequence`` child per *submitted query*, in submission
+  order, so a seeded :class:`~repro.serve.QueryService` answers identically
+  no matter how its worker threads interleave.
+* Every scan (ISLA, each sampling baseline) derives its streams from the
+  scan's key — its seed — plus the partition index, with no spawn tree.
+  This is the counter/offset idea of Salmon et al., "Parallel Random
+  Numbers: As Easy as 1, 2, 3" (SC 2011): the key seeds one ``PCG64`` per
+  scan, and partition *i*'s stream *s* is that scan's base state advanced
+  by ``(i * S + s) * 2**64`` draws (``S`` streams per partition), while the
+  pre-phase (pilot sampling, pre-estimation, block selection) draws from a
+  disjoint offset.  Worker threads only decide *when* a partition runs,
+  never *which stream* it consumes, so estimates and confidence bounds are
+  bit-identical at parallelism 1, 2, 4, ... for the same seed.
 
-The two layers compose: a served query's child seed becomes the root of
-that query's partition spawn.
+``PCG64.advance`` costs about as much as one draw, and each thread realises
+partition streams on one bit generator it reuses, so a partition's stream
+costs a few microseconds instead of a ``SeedSequence`` spawn plus a fresh
+generator.
+
+The two layers compose: a served query's child seed is the key of that
+query's scan.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple, Union
+import threading
+from typing import Union
 
 import numpy as np
 
-__all__ = ["SeedLike", "as_seed_sequence", "spawn_scan_seeds", "partition_generators"]
+__all__ = ["SeedLike", "ScanStreams", "as_seed_sequence", "STREAM_STRIDE"]
 
 #: anything the scan backend accepts as a reproducibility root
 SeedLike = Union[None, int, np.integer, np.random.SeedSequence, np.random.Generator]
+
+#: draws each stream owns before it would run into the next one
+STREAM_STRIDE = 2**64
+
+#: where a scan's streams start along its key's PCG64 sequence: half a period
+#: away from the draws a caller's own ``default_rng(seed)`` makes
+_SCAN_OFFSET = 2**127
+
+#: one scratch generator per thread; :meth:`ScanStreams.generator` overwrites
+#: its whole state before every use, so no draw depends on an earlier caller
+_local = threading.local()
 
 
 def as_seed_sequence(seed: SeedLike) -> np.random.SeedSequence:
@@ -38,11 +60,9 @@ def as_seed_sequence(seed: SeedLike) -> np.random.SeedSequence:
 
     ``None`` and integers build a fresh sequence; an existing sequence is
     *rebuilt* from its entropy and spawn key (the serving layer passes the
-    per-query child it spawned at submit time) so that spawning partition
-    children never mutates the caller's object — the same root therefore
-    always yields the same partition seeds, no matter how many scans it
-    roots; a ``Generator`` contributes its own bit generator's sequence,
-    so explicitly-seeded generators stay reproducible.
+    per-query child it spawned at submit time) so the caller's object is
+    never mutated; a ``Generator`` contributes its own bit generator's
+    sequence, so explicitly-seeded generators stay reproducible.
     """
     if isinstance(seed, np.random.Generator):
         state_seq = seed.bit_generator.seed_seq
@@ -54,47 +74,52 @@ def as_seed_sequence(seed: SeedLike) -> np.random.SeedSequence:
     return np.random.SeedSequence(seed)
 
 
-def spawn_scan_seeds(
-    seed: SeedLike, partition_count: int
-) -> Tuple[np.random.SeedSequence, List[np.random.SeedSequence]]:
-    """Spawn ``(pre_seed, partition_seeds)`` for one partition-parallel scan.
+class ScanStreams:
+    """The random streams of one scan, all derived from the scan's key.
 
-    The first child seeds the scan's serial pre-phase (pilot samples,
-    pre-estimation, block selection); the remaining ``partition_count``
-    children seed the partitions in canonical partition order.  The spawn
-    depends only on ``seed`` and ``partition_count`` — never on the pool
-    size — which is what makes seeded scans bit-identical across
-    parallelism levels.
+    :attr:`pre_phase` is the scan's own generator for the serial pre-phase
+    on the caller's thread; :meth:`generator` realises a partition's stream
+    on the calling thread.  The streams depend only on the key and the
+    ``(partition, stream)`` index — never on the pool size — which is what
+    makes seeded scans bit-identical across parallelism levels.
     """
-    if partition_count < 0:
-        raise ValueError(f"partition_count must be non-negative, got {partition_count}")
-    root = as_seed_sequence(seed)
-    children = root.spawn(partition_count + 1)
-    return children[0], list(children[1:])
 
+    __slots__ = ("streams_per_partition", "pre_phase", "_base")
 
-def partition_generators(
-    partition_seeds: Sequence[np.random.SeedSequence],
-    streams_per_partition: int = 1,
-) -> List[List[np.random.Generator]]:
-    """Build per-partition generator bundles from spawned partition seeds.
+    def __init__(self, seed: SeedLike, streams_per_partition: int = 1) -> None:
+        if streams_per_partition < 1:
+            raise ValueError(
+                f"streams_per_partition must be positive, got {streams_per_partition}"
+            )
+        self.streams_per_partition = int(streams_per_partition)
+        bit_generator = np.random.PCG64(as_seed_sequence(seed))
+        bit_generator.advance(_SCAN_OFFSET)
+        # partition streams start one stride past this (pre-phase) state
+        self._base = bit_generator.state
+        self.pre_phase = np.random.Generator(bit_generator)
 
-    Multi-phase estimators (e.g. BILEVEL's pilot-then-sample passes) need
-    more than one independent stream per partition; each partition's seed
-    spawns ``streams_per_partition`` grandchildren so every phase has its
-    own stream, again in a canonical order.
-    """
-    if streams_per_partition < 1:
-        raise ValueError(
-            f"streams_per_partition must be positive, got {streams_per_partition}"
+    def generator(self, partition: int, stream: int = 0) -> np.random.Generator:
+        """Stream ``stream`` of partition ``partition``, on this thread's generator.
+
+        The returned generator is reused by the next call on the same
+        thread, so a partition task must finish with one stream before it
+        asks for another.
+        """
+        # a negative partition or an out-of-range stream would alias
+        # another partition's stream (or the pre-phase's)
+        if partition < 0:
+            raise ValueError(f"partition must be non-negative, got {partition}")
+        if not 0 <= stream < self.streams_per_partition:
+            raise ValueError(
+                f"stream must lie in [0, {self.streams_per_partition}), got {stream}"
+            )
+        try:
+            generator = _local.generator
+        except AttributeError:
+            generator = _local.generator = np.random.Generator(np.random.PCG64())
+        bit_generator = generator.bit_generator
+        bit_generator.state = self._base
+        bit_generator.advance(
+            (1 + partition * self.streams_per_partition + stream) * STREAM_STRIDE
         )
-    bundles: List[List[np.random.Generator]] = []
-    for child in partition_seeds:
-        grandchildren = child.spawn(streams_per_partition)
-        bundles.append([np.random.default_rng(grand) for grand in grandchildren])
-    return bundles
-
-
-def partition_rng(seed: Optional[np.random.SeedSequence]) -> np.random.Generator:
-    """A generator for one partition task (tiny convenience wrapper)."""
-    return np.random.default_rng(seed)
+        return generator

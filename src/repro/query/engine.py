@@ -46,10 +46,10 @@ class AQPEngine:
         self.catalog = Catalog()
         self.config = config or ISLAConfig()
         # ``parallelism`` is a convenience override: every plan built from
-        # this engine scans through the partition backend at that width.
-        # Seeded answers stay bit-identical across widths (the partition
-        # seed-spawn never depends on worker count), so flipping this knob
-        # cannot change any result — see repro.parallel.seeding.
+        # this engine shards its partition scan at that width.  Seeded
+        # answers stay bit-identical across widths (partition streams never
+        # depend on worker count), so flipping this knob cannot change any
+        # result — see repro.parallel.seeding.
         if parallelism is not None:
             self.config = self.config.with_updates(parallelism=parallelism)
         self.seed = seed

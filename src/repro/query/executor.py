@@ -5,11 +5,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Optional, Tuple
 
-import numpy as np
-
 from repro import obs
 from repro.core.isla import ISLAAggregator
-from repro.errors import QueryPlanError
+from repro.errors import QueryPlanError, SamplingError
+from repro.parallel.pool import shared_scan_pool
 from repro.query.planner import QueryPlan
 from repro.sampling import (
     BiLevelAggregator,
@@ -96,6 +95,20 @@ def _degradation(
     }
 
 
+def _exact_scan(store, column: str, parallelism: int) -> Tuple[float, int]:
+    """Exact ``(sum, rows)``: per-block partial sums merged in block order."""
+
+    def partial(block) -> Tuple[float, int]:
+        values = block.column(column)
+        return float(values.sum()), int(values.size)
+
+    partials = shared_scan_pool().map_partitions(partial, store.blocks, parallelism)
+    rows = sum(count for _, count in partials)
+    if rows == 0:
+        raise SamplingError(f"store {store.name!r} has no rows")
+    return sum(piece for piece, _ in partials), rows
+
+
 class QueryExecutor:
     """Executes a :class:`QueryPlan` with the requested estimation method."""
 
@@ -133,121 +146,80 @@ class QueryExecutor:
     def _dispatch(
         self, plan: QueryPlan, watch: obs.Stopwatch, seed: Optional[Any]
     ) -> ExecutionResult:
+        """Run the plan's method; every method scans through the partition pool.
+
+        ``config.parallelism`` only sets how many shards run concurrently
+        (``None`` runs the partition tasks inline), so answers are
+        bit-identical at every setting.
+        """
         method = plan.method
         query = plan.query
-        # None = legacy serial scan; any integer (including 1) routes through
-        # the partition backend, so parallelism 1/2/4 are mutually
-        # bit-identical for a given seed.  Time-constrained execution keeps
-        # its own serial budget loop.
-        parallelism = plan.config.parallelism
+        parallelism = plan.config.parallelism or 1
+        # (degraded, failed partitions, sample fraction) of the scan itself
+        scan_health: Tuple[bool, Tuple[int, ...], float] = (False, (), 1.0)
+        raw: Any = None
 
         if query.time_budget_ms is not None:
-            return self._execute_time_constrained(plan, watch, seed)
-
-        if method == "EXACT":
-            if parallelism is not None:
-                from repro.parallel import parallel_exact_mean
-
-                mean, rows = parallel_exact_mean(
-                    plan.store, plan.column, parallelism=parallelism
-                )
-                value = mean * rows if query.aggregate == "sum" else mean
-                details = {
-                    "full_scan": True,
-                    "parallelism": parallelism,
-                    "partitions": plan.store.block_count,
-                }
-            else:
-                value = self._exact_value(plan)
-                details = {"full_scan": True}
-            return ExecutionResult(
-                value=value,
-                method=method,
-                aggregate=query.aggregate,
-                column=plan.column,
-                table=plan.store.name,
-                sample_size=plan.store.total_rows,
-                elapsed_seconds=watch.elapsed_seconds,
-                details=details,
-                **_degradation(plan.store),
-            )
-
-        if method == "ISLA":
-            if parallelism is not None:
-                from repro.parallel import PartitionParallelAggregator
-
-                aggregator = PartitionParallelAggregator(
-                    plan.config, seed=seed, parallelism=parallelism
-                )
-            else:
-                aggregator = ISLAAggregator(plan.config, seed=seed)
+            raw = self._execute_time_constrained(plan, seed)
+            method, value, sample_size = raw.method, raw.value, raw.sample_size
+            if query.aggregate == "sum":
+                value *= raw.data_size
+            details = {**raw.to_dict(), "time_budget_ms": query.time_budget_ms}
+        elif method == "EXACT":
+            total, sample_size = _exact_scan(plan.store, plan.column, parallelism)
+            value = total if query.aggregate == "sum" else total / sample_size
+            details = {
+                "full_scan": True,
+                "parallelism": parallelism,
+                "partitions": plan.store.block_count,
+            }
+        elif method == "ISLA":
+            aggregator = ISLAAggregator(plan.config, seed=seed)
             if query.aggregate == "avg":
-                result = aggregator.aggregate_avg(plan.store, plan.column)
+                raw = aggregator.aggregate_avg(plan.store, plan.column)
             else:
-                result = aggregator.aggregate_sum(plan.store, plan.column)
-            details = result.to_dict()
-            if parallelism is not None:
-                details["parallelism"] = parallelism
-                details["partitions"] = plan.store.block_count
-            return ExecutionResult(
-                value=result.value,
-                method=method,
-                aggregate=query.aggregate,
-                column=plan.column,
-                table=plan.store.name,
-                sample_size=result.sample_size,
-                elapsed_seconds=watch.elapsed_seconds,
-                details=details,
-                raw=result,
-                **_degradation(
-                    plan.store,
-                    result.degraded,
-                    result.failed_partitions,
-                    result.sample_fraction,
-                ),
-            )
-
-        if method in _BASELINES:
-            baseline = _BASELINES[method](seed=seed)
-            estimate = baseline.aggregate(
+                raw = aggregator.aggregate_sum(plan.store, plan.column)
+            value, sample_size = raw.value, raw.sample_size
+            details = {
+                **raw.to_dict(),
+                "parallelism": aggregator.parallelism,
+                "partitions": len(raw.block_results) + len(raw.failed_partitions),
+            }
+            scan_health = (raw.degraded, raw.failed_partitions, raw.sample_fraction)
+        elif method in _BASELINES:
+            raw = _BASELINES[method](seed=seed).aggregate(
                 plan.store,
                 plan.column,
                 precision=plan.config.precision,
                 confidence=plan.config.confidence,
                 parallelism=parallelism,
             )
-            value = estimate.value
+            value, sample_size = raw.value, raw.sample_size
             if query.aggregate == "sum":
                 value *= plan.store.total_rows
-            details = dict(estimate.details)
-            return ExecutionResult(
-                value=value,
-                method=method,
-                aggregate=query.aggregate,
-                column=plan.column,
-                table=plan.store.name,
-                sample_size=estimate.sample_size,
-                elapsed_seconds=watch.elapsed_seconds,
-                details=details,
-                raw=estimate,
-                **_degradation(
-                    plan.store,
-                    bool(details.get("degraded", False)),
-                    tuple(details.get("failed_partitions", ())),
-                    float(details.get("sample_fraction", 1.0)),
-                ),
+            details = dict(raw.details)
+            scan_health = (
+                bool(details.get("degraded", False)),
+                tuple(details.get("failed_partitions", ())),
+                float(details.get("sample_fraction", 1.0)),
             )
+        else:
+            raise QueryPlanError(f"no executor registered for method {method!r}")
 
-        raise QueryPlanError(f"no executor registered for method {method!r}")
+        return ExecutionResult(
+            value=value,
+            method=method,
+            aggregate=query.aggregate,
+            column=plan.column,
+            table=plan.store.name,
+            sample_size=sample_size,
+            elapsed_seconds=watch.elapsed_seconds,
+            details=details,
+            raw=raw,
+            **_degradation(plan.store, *scan_health),
+        )
 
-    def _exact_value(self, plan: QueryPlan) -> float:
-        if plan.query.aggregate == "avg":
-            return plan.store.exact_mean(plan.column)
-        return plan.store.exact_sum(plan.column)
-
-    def _execute_time_constrained(
-        self, plan: QueryPlan, watch: obs.Stopwatch, seed: Optional[Any] = None
-    ) -> ExecutionResult:
+    def _execute_time_constrained(self, plan: QueryPlan, seed: Optional[Any] = None):
         """Delegate to the time-constrained extension (Section VII-F).
 
         A blown budget propagates as :class:`~repro.errors.TimeBudgetExceeded`
@@ -257,21 +229,6 @@ class QueryExecutor:
 
         budget_seconds = (plan.query.time_budget_ms or 0.0) / 1000.0
         aggregator = TimeConstrainedAggregator(plan.config, seed=seed)
-        result = aggregator.aggregate_within(
+        return aggregator.aggregate_within(
             plan.store, plan.column, budget_seconds=budget_seconds
-        )
-        value = result.value
-        if plan.query.aggregate == "sum":
-            value *= plan.store.total_rows
-        return ExecutionResult(
-            value=value,
-            method=result.method,
-            aggregate=plan.query.aggregate,
-            column=plan.column,
-            table=plan.store.name,
-            sample_size=result.sample_size,
-            elapsed_seconds=watch.elapsed_seconds,
-            details={**result.to_dict(), "time_budget_ms": plan.query.time_budget_ms},
-            raw=result,
-            **_degradation(plan.store),
         )

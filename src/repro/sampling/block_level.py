@@ -14,8 +14,7 @@ from typing import Optional
 import numpy as np
 
 from repro.errors import SamplingError
-from repro.sampling.base import BaselineAggregator, SampleEstimate
-from repro.storage.blockstore import BlockStore
+from repro.sampling.base import BaselineAggregator, PartitionScan
 
 __all__ = ["BlockLevelAggregator"]
 
@@ -33,37 +32,29 @@ class BlockLevelAggregator(BaselineAggregator):
             )
         self.block_fraction = float(block_fraction)
 
-    def _aggregate(
-        self,
-        store: BlockStore,
-        column: str,
-        rate: float,
-        rng: np.random.Generator,
-    ) -> SampleEstimate:
+    def _estimate(self, scan: PartitionScan):
+        store, column = scan.store, scan.column
         block_count = store.block_count
-        if block_count == 0:
-            raise SamplingError("block store has no blocks")
         chosen_count = max(1, int(round(self.block_fraction * block_count)))
-        chosen = rng.choice(block_count, size=chosen_count, replace=False)
+        chosen = {
+            int(index)
+            for index in scan.pre_rng.choice(block_count, size=chosen_count, replace=False)
+        }
 
         total_rows = float(store.block_sizes().sum())
-        budget = max(1, int(round(rate * total_rows)))
+        budget = max(1, int(round(scan.rate * total_rows)))
         per_block = max(1, budget // chosen_count)
+        shares = [per_block if index in chosen else 0 for index in range(block_count)]
 
-        pieces = []
-        for index in chosen:
-            block = store.blocks[int(index)]
-            if block.size == 0:
-                continue
-            pieces.append(block.sample_column(column, per_block, rng))
-        if not pieces:
+        def draw(block, share, rng) -> np.ndarray:
+            if share == 0 or block.size == 0:
+                return np.empty(0, dtype=float)
+            return block.sample_column(column, share, rng)
+
+        sample = np.concatenate(scan.map(draw, shares, stream=0))
+        if sample.size == 0:
             raise SamplingError("block-level sampling produced an empty sample")
-        sample = np.concatenate(pieces)
-        return SampleEstimate(
-            value=float(sample.mean()),
-            sample_size=int(sample.size),
-            sampling_rate=rate,
-            method=self.method,
-            details={"blocks_used": sorted(int(i) for i in chosen),
-                     "per_block": per_block},
-        )
+        return float(sample.mean()), int(sample.size), {
+            "blocks_used": sorted(chosen),
+            "per_block": per_block,
+        }

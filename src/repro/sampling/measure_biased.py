@@ -22,8 +22,7 @@ from typing import Optional
 import numpy as np
 
 from repro.errors import SamplingError
-from repro.sampling.base import BaselineAggregator, SampleEstimate, DEFAULT_PILOT_SIZE
-from repro.storage.blockstore import BlockStore
+from repro.sampling.base import BaselineAggregator, DEFAULT_PILOT_SIZE, PartitionScan
 
 __all__ = ["MeasureBiasedValueAggregator", "MeasureBiasedBoundaryAggregator"]
 
@@ -33,16 +32,8 @@ class MeasureBiasedValueAggregator(BaselineAggregator):
 
     method = "MV"
 
-    def _aggregate(
-        self,
-        store: BlockStore,
-        column: str,
-        rate: float,
-        rng: np.random.Generator,
-    ) -> SampleEstimate:
-        sample = store.uniform_sample(column, rate, rng)
-        if sample.size == 0:
-            raise SamplingError("MV sampling produced an empty sample")
+    def _estimate(self, scan: PartitionScan):
+        sample = scan.uniform_sample()
         value_sum = float(sample.sum())
         if value_sum == 0.0:
             # Degenerate all-zero sample: fall back to the plain mean (zero).
@@ -50,13 +41,7 @@ class MeasureBiasedValueAggregator(BaselineAggregator):
         else:
             probabilities = sample / value_sum
             estimate = float((probabilities * sample).sum())
-        return SampleEstimate(
-            value=estimate,
-            sample_size=int(sample.size),
-            sampling_rate=rate,
-            method=self.method,
-            details={"plain_mean": float(sample.mean())},
-        )
+        return estimate, int(sample.size), {"plain_mean": float(sample.mean())}
 
 
 class MeasureBiasedBoundaryAggregator(BaselineAggregator):
@@ -80,26 +65,17 @@ class MeasureBiasedBoundaryAggregator(BaselineAggregator):
         self.p2 = float(p2)
         self.pilot_size = int(pilot_size)
 
-    def _aggregate(
-        self,
-        store: BlockStore,
-        column: str,
-        rate: float,
-        rng: np.random.Generator,
-    ) -> SampleEstimate:
+    def _estimate(self, scan: PartitionScan):
         # Import here to avoid a package-level cycle: the core package depends
         # on sampling only through the experiments, not vice versa.
         from repro.core.boundaries import DataBoundaries
 
-        pilot = store.pilot_sample(column, self.pilot_size, rng)
+        pilot = scan.store.pilot_sample(scan.column, self.pilot_size, scan.pre_rng)
         sketch = float(pilot.mean())
         sigma = float(pilot.std())
         boundaries = DataBoundaries.from_sketch(sketch, sigma, p1=self.p1, p2=self.p2)
 
-        sample = store.uniform_sample(column, rate, rng)
-        if sample.size == 0:
-            raise SamplingError("MVB sampling produced an empty sample")
-
+        sample = scan.uniform_sample()
         regions = boundaries.classify(sample)
         estimate = 0.0
         region_stats = {}
@@ -119,10 +95,4 @@ class MeasureBiasedBoundaryAggregator(BaselineAggregator):
                 "count": int(region_values.size),
                 "contribution": contribution,
             }
-        return SampleEstimate(
-            value=float(estimate),
-            sample_size=total,
-            sampling_rate=rate,
-            method=self.method,
-            details={"sketch": sketch, "sigma": sigma, "regions": region_stats},
-        )
+        return float(estimate), total, {"sketch": sketch, "sigma": sigma, "regions": region_stats}

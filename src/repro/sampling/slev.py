@@ -5,20 +5,20 @@ scores with the uniform distribution, ``pi_i = alpha * h_i + (1 - alpha)/n``,
 and re-weights each draw by ``1 / pi_i`` (Hansen–Hurwitz).  The paper uses
 this as the motivating prior technique: it is unbiased but needs the leverage
 of *every* row (a full pass over the data), which is exactly the cost ISLA
-avoids.  The implementation therefore materialises the column, which is fine
-at reproduction scale and makes the comparison honest.
+avoids.  The implementation therefore reads every block, which is fine at
+reproduction scale and makes the comparison honest.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
+from repro.core.summarization import combine_partial_means
 from repro.errors import SamplingError
-from repro.sampling.base import BaselineAggregator, SampleEstimate
+from repro.sampling.base import BaselineAggregator, PartitionScan
 from repro.stats.estimators import hansen_hurwitz_mean
-from repro.storage.blockstore import BlockStore
 
 __all__ = ["SlevAggregator"]
 
@@ -34,35 +34,57 @@ class SlevAggregator(BaselineAggregator):
             raise SamplingError(f"alpha must lie in [0, 1], got {alpha}")
         self.alpha = float(alpha)
 
-    def _aggregate(
-        self,
-        store: BlockStore,
-        column: str,
-        rate: float,
-        rng: np.random.Generator,
-    ) -> SampleEstimate:
-        values = store.full_column(column)
-        population = int(values.size)
+    def _estimate(self, scan: PartitionScan):
+        column, alpha = scan.column, self.alpha
+        population = scan.store.total_rows
         if population == 0:
             raise SamplingError("SLEV cannot aggregate an empty store")
-        sample_size = max(1, int(round(rate * population)))
+        sample_size = max(1, int(round(scan.rate * population)))
 
-        square_sum = float((values ** 2).sum())
-        if square_sum == 0.0:
-            leverages = np.full(population, 1.0 / population)
+        # Phase 1 — the leverage normaliser sum(x^2), SLEV's unavoidable full
+        # pass, as per-block partial sums.
+        def square_sum(block) -> float:
+            values = block.column(column)
+            return float((values * values).sum())
+
+        square_sums = scan.map(square_sum)
+        global_square = float(sum(square_sums))
+
+        # Per-block probability mass under pi_i = alpha*h_i + (1-alpha)/n.
+        block_sizes = scan.store.block_sizes()
+        if global_square == 0.0:
+            masses = block_sizes / population
         else:
-            leverages = (values ** 2) / square_sum
-        probabilities = self.alpha * leverages + (1.0 - self.alpha) / population
-        probabilities = probabilities / probabilities.sum()
+            masses = (
+                alpha * np.asarray(square_sums) / global_square
+                + (1.0 - alpha) * block_sizes / population
+            )
 
-        indices = rng.choice(population, size=sample_size, replace=True, p=probabilities)
-        estimate = hansen_hurwitz_mean(
-            values[indices], probabilities[indices], population_size=population
+        # Phase 2 — each block draws its leverage share of the budget with
+        # within-block probabilities pi_i / mass_b and Hansen-Hurwitz-estimates
+        # its own mean; the merge weights by block share (unbiased).
+        def block_mean(block, mass, rng) -> Tuple[float, int, int]:
+            if block.size == 0:
+                return 0.0, 0, 0
+            draws = max(1, int(round(sample_size * mass)))
+            values = block.column(column)
+            if global_square == 0.0:
+                within = np.full(values.size, 1.0 / values.size)
+            else:
+                pi = alpha * values * values / global_square + (1.0 - alpha) / population
+                within = pi / pi.sum()
+            indices = rng.choice(values.size, size=draws, replace=True, p=within)
+            estimate = hansen_hurwitz_mean(
+                values[indices], within[indices], population_size=values.size
+            )
+            return float(estimate), int(block.size), draws
+
+        results = scan.map(block_mean, masses, stream=0)
+        occupied = [(mean, size) for mean, size, _ in results if size > 0]
+        if not occupied:
+            raise SamplingError("SLEV sampling produced an empty sample")
+        estimate = combine_partial_means(
+            [mean for mean, _ in occupied], [size for _, size in occupied]
         )
-        return SampleEstimate(
-            value=float(estimate),
-            sample_size=sample_size,
-            sampling_rate=rate,
-            method=self.method,
-            details={"alpha": self.alpha, "full_scan_required": True},
-        )
+        drawn = sum(draws for _, _, draws in results)
+        return float(estimate), drawn, {"alpha": alpha, "full_scan_required": True}

@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-from typing import Literal, Optional
+from typing import Literal, Optional, Tuple
 
 import numpy as np
 
 from repro.errors import SamplingError
-from repro.sampling.base import BaselineAggregator, SampleEstimate
-from repro.storage.blockstore import BlockStore
+from repro.sampling.base import BaselineAggregator, PartitionScan
 
 __all__ = ["StratifiedAggregator"]
 
@@ -29,6 +28,8 @@ class StratifiedAggregator(BaselineAggregator):
     """
 
     method = "STS"
+    #: stream 0 draws the Neyman pilot, stream 1 the stratum sample
+    streams_per_partition = 2
 
     def __init__(
         self,
@@ -44,69 +45,48 @@ class StratifiedAggregator(BaselineAggregator):
         self.allocation = allocation
         self.pilot_per_block = pilot_per_block
 
-    def _aggregate(
-        self,
-        store: BlockStore,
-        column: str,
-        rate: float,
-        rng: np.random.Generator,
-    ) -> SampleEstimate:
-        sizes = store.block_sizes()
+    def _estimate(self, scan: PartitionScan):
+        column = scan.column
+        sizes = scan.store.block_sizes()
         total_rows = sizes.sum()
-        budget = max(1, int(round(rate * total_rows)))
-        allocations = self._allocate(store, column, budget, rng)
+        budget = max(1, int(round(scan.rate * total_rows)))
+        allocations = self._allocate(scan, sizes, budget)
 
-        stratum_means = np.zeros(store.block_count, dtype=float)
-        drawn = 0
-        for index, (block, share) in enumerate(zip(store.blocks, allocations)):
-            share = int(share)
-            if share <= 0 or block.size == 0:
-                stratum_means[index] = 0.0
-                continue
-            sample = block.sample_column(column, share, rng)
-            stratum_means[index] = float(sample.mean())
-            drawn += sample.size
+        def stratum_mean(block, share, rng) -> Tuple[float, int]:
+            if block.size == 0:
+                return 0.0, 0
+            sample = block.sample_column(column, int(share), rng)
+            return float(sample.mean()), int(sample.size)
 
+        strata = scan.map(stratum_mean, allocations, stream=1)
+        drawn = sum(count for _, count in strata)
         if drawn == 0:
             raise SamplingError("stratified sampling produced an empty sample")
         weights = sizes / total_rows
+        stratum_means = np.array([mean for mean, _ in strata])
         estimate = float((weights * stratum_means).sum())
-        return SampleEstimate(
-            value=estimate,
-            sample_size=drawn,
-            sampling_rate=rate,
-            method=self.method,
-            details={"allocation": self.allocation,
-                     "per_stratum": [int(a) for a in allocations]},
-        )
+        return estimate, drawn, {
+            "allocation": self.allocation,
+            "per_stratum": [int(a) for a in allocations],
+        }
 
     # ------------------------------------------------------------ allocation
     def _allocate(
-        self,
-        store: BlockStore,
-        column: str,
-        budget: int,
-        rng: np.random.Generator,
+        self, scan: PartitionScan, sizes: np.ndarray, budget: int
     ) -> np.ndarray:
-        sizes = store.block_sizes()
         if self.allocation == "proportional":
             raw = budget * sizes / sizes.sum()
         else:
-            deviations = np.array(
-                [
-                    float(
-                        block.sample_column(
-                            column, min(self.pilot_per_block, max(2, block.size)), rng
-                        ).std()
-                    )
-                    if block.size > 0
-                    else 0.0
-                    for block in store.blocks
-                ]
-            )
-            weights = sizes * deviations
+            column, pilot = scan.column, self.pilot_per_block
+
+            def deviation(block, rng) -> float:
+                if block.size == 0:
+                    return 0.0
+                share = min(pilot, max(2, block.size))
+                return float(block.sample_column(column, share, rng).std())
+
+            weights = sizes * np.asarray(scan.map(deviation, stream=0))
             if weights.sum() == 0.0:
                 weights = sizes
             raw = budget * weights / weights.sum()
-        allocations = np.maximum(1, np.round(raw)).astype(int)
-        return allocations
+        return np.maximum(1, np.round(raw)).astype(int)

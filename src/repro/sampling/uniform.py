@@ -2,11 +2,7 @@
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.errors import SamplingError
-from repro.sampling.base import BaselineAggregator, SampleEstimate
-from repro.storage.blockstore import BlockStore
+from repro.sampling.base import BaselineAggregator, PartitionScan
 
 __all__ = ["UniformAggregator"]
 
@@ -21,20 +17,6 @@ class UniformAggregator(BaselineAggregator):
 
     method = "US"
 
-    def _aggregate(
-        self,
-        store: BlockStore,
-        column: str,
-        rate: float,
-        rng: np.random.Generator,
-    ) -> SampleEstimate:
-        sample = store.uniform_sample(column, rate, rng)
-        if sample.size == 0:
-            raise SamplingError("uniform sampling produced an empty sample")
-        return SampleEstimate(
-            value=float(sample.mean()),
-            sample_size=int(sample.size),
-            sampling_rate=rate,
-            method=self.method,
-            details={"sample_std": float(sample.std())},
-        )
+    def _estimate(self, scan: PartitionScan):
+        sample = scan.uniform_sample()
+        return float(sample.mean()), int(sample.size), {"sample_std": float(sample.std())}

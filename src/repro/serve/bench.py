@@ -103,9 +103,9 @@ def run_throughput_benchmark(
 ) -> Dict[str, Any]:
     """Run the three configurations over one workload; returns a report dict.
 
-    ``parallelism`` routes every scan through the partition backend; serve
-    workers submit their shards into the one shared scan pool, so worker
-    threads multiply throughput without multiplying scan threads.
+    ``parallelism`` shards every partition scan; serve workers submit their
+    shards into the one shared scan pool, so worker threads multiply
+    throughput without multiplying scan threads.
 
     ``data_dir`` serves the workload from durable on-disk stores
     (memory-mapped) instead of synthesising tables, so the bench measures

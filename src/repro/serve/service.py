@@ -20,12 +20,12 @@ Every submitted query derives an independent child of one
 produces bit-identical answers regardless of worker interleaving.  This is
 one half of the seed-determinism contract shared with the partition
 backend and documented in :mod:`repro.parallel.seeding`: a served query's
-child seed becomes the root of that query's per-partition spawn, so
+child seed becomes the key of that query's per-partition streams, so
 serving-level and scan-level concurrency compose without ever changing a
 seeded answer.
 
-When the engine's config sets ``parallelism``, worker threads shard their
-block scans into the one process-wide scan pool
+When the engine's config sets ``parallelism`` above 1, worker threads
+shard their block scans into the one process-wide scan pool
 (:func:`repro.parallel.pool.shared_scan_pool`) — total scan threads stay
 bounded by the pool size no matter how many service workers are executing,
 so serving concurrency never oversubscribes the machine.

@@ -87,9 +87,14 @@ class Block:
             raise StorageError(f"block {self.block_id} is empty")
         if sample_size <= 0:
             return np.empty(0, dtype=float)
-        if not replace:
-            sample_size = min(sample_size, values.size)
-        indices = rng.choice(values.size, size=sample_size, replace=replace)
+        if replace:
+            # The same indices rng.choice(n, size=k) draws, without its
+            # argument handling (tests pin the equality).
+            indices = rng.integers(0, values.size, size=sample_size)
+        else:
+            indices = rng.choice(
+                values.size, size=min(sample_size, values.size), replace=False
+            )
         return values[indices]
 
     def iter_column(self, name: str, batch_size: int = 65536) -> Iterator[np.ndarray]:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator, List, Optional, Sequence
 
 import numpy as np
@@ -82,6 +82,16 @@ class BlockStore:
     def block_sizes(self) -> np.ndarray:
         """Array of block sizes ``|B_j|``."""
         return np.asarray([block.size for block in self._blocks], dtype=float)
+
+    def snapshot(self) -> "BlockStore":
+        """A store over the blocks present now, unaffected by later appends.
+
+        The blocks themselves are shared, not copied.  A scan that reads the
+        block list more than once (pre-estimation, the partition scan, the
+        merge) works on a snapshot, so a concurrent :meth:`append_block`
+        cannot hand it two different lists.
+        """
+        return replace(self, _blocks=list(self._blocks))
 
     def has_column(self, name: str) -> bool:
         """True when every block carries column ``name``."""

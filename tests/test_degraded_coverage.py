@@ -23,8 +23,9 @@ import numpy as np
 import pytest
 
 from repro.core.config import ISLAConfig
+from repro.core.isla import ISLAAggregator
 from repro.faults import FaultInjector, FaultPlan, FaultSpec, fault_scope
-from repro.parallel import PartitionParallelAggregator, ScanPool
+from repro.parallel import ScanPool
 from repro.sampling import UniformAggregator
 from repro.storage.blockstore import BlockStore
 
@@ -68,7 +69,7 @@ class TestDegradedCoverage:
         for trial in range(TRIALS):
             with fault_scope(FaultInjector(_plan(trial))):
                 try:
-                    result = PartitionParallelAggregator(
+                    result = ISLAAggregator(
                         config, seed=trial, pool=pool, parallelism=4
                     ).aggregate_avg(store)
                 except Exception:
@@ -90,7 +91,7 @@ class TestDegradedCoverage:
             seed=1, specs=(FaultSpec(site="scan.partition", keys=(0, 1, 2)),)
         )
         with fault_scope(FaultInjector(plan)):
-            result = PartitionParallelAggregator(
+            result = ISLAAggregator(
                 config, seed=7, pool=pool, parallelism=4
             ).aggregate_avg(store)
         assert result.degraded

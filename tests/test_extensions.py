@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from repro.core.config import ISLAConfig
+from repro.core.isla import ISLAAggregator
 from repro.errors import EstimationError, TimeBudgetExceeded
-from repro.extensions.distributed import ParallelISLAAggregator
 from repro.extensions.extreme import ExtremeValueAggregator
 from repro.extensions.noniid import NonIIDAggregator
 from repro.extensions.online import OnlineAggregator
 from repro.extensions.time_constraint import TimeConstrainedAggregator
+from repro.parallel import ScanPool
 from repro.workloads.noniid import NonIIDWorkload
 
 
@@ -84,8 +85,6 @@ class TestNonIIDAggregation:
         assert abs(result.value - workload.true_mean()) <= 2 * config.precision
 
     def test_beats_global_boundaries_on_heterogeneous_blocks(self):
-        from repro.core.isla import ISLAAggregator
-
         workload = NonIIDWorkload.paper_blocks(rows_per_block=40_000)
         store = workload.generate_store(seed=3)
         config = ISLAConfig(precision=0.5)
@@ -96,21 +95,29 @@ class TestNonIIDAggregation:
 
 
 class TestParallelExecution:
+    """Section VII-E: per-block partial answers computed on a thread pool."""
+
     def test_matches_sequential_quality(self, normal_store):
         config = ISLAConfig(precision=0.5)
         truth = normal_store.exact_mean()
-        result = ParallelISLAAggregator(config, max_workers=4, seed=6).aggregate_avg(
-            normal_store
-        )
-        assert result.method == "ISLA-parallel"
+        with ScanPool(max_workers=4) as pool:
+            result = ISLAAggregator(
+                config, seed=6, pool=pool, parallelism=4
+            ).aggregate_avg(normal_store)
+        assert result.method == "ISLA"
         assert len(result.block_results) == normal_store.block_count
         assert result.error_against(truth) <= 2 * config.precision
 
     def test_deterministic_given_seed(self, normal_store):
         config = ISLAConfig(precision=0.5)
-        first = ParallelISLAAggregator(config, max_workers=3, seed=9).aggregate_avg(normal_store)
-        second = ParallelISLAAggregator(config, max_workers=3, seed=9).aggregate_avg(normal_store)
-        assert first.value == pytest.approx(second.value, rel=1e-12)
+        with ScanPool(max_workers=3) as pool:
+            first, second = (
+                ISLAAggregator(config, seed=9, pool=pool, parallelism=3).aggregate_avg(
+                    normal_store
+                )
+                for _ in range(2)
+            )
+        assert first.value == second.value
 
 
 class TestExtremeValues:

@@ -9,13 +9,10 @@ import pytest
 
 from repro import faults
 from repro.core.config import ISLAConfig
+from repro.core.isla import ISLAAggregator, degraded_radius
 from repro.errors import ConfigurationError, InjectedFault, PartialResultError
 from repro.faults import FaultInjector, FaultPlan, FaultSpec, fault_scope
-from repro.parallel import (
-    PartitionParallelAggregator,
-    ScanPool,
-    degraded_radius,
-)
+from repro.parallel import ScanPool
 from repro.query.engine import AQPEngine
 from repro.sampling import UniformAggregator
 from repro.serve import CircuitBreaker, ServeConfig
@@ -290,7 +287,7 @@ class TestDegradedAggregation:
         )
         config = ISLAConfig(precision=0.5, parallelism=4)
         with fault_scope(plan):
-            result = PartitionParallelAggregator(config, seed=77).aggregate_avg(store)
+            result = ISLAAggregator(config, seed=77).aggregate_avg(store)
         assert result.degraded
         assert result.failed_partitions == (1, 6)
         assert result.sample_fraction == pytest.approx(6 / 8)
@@ -308,7 +305,7 @@ class TestDegradedAggregation:
         answers = []
         for _ in range(2):
             with fault_scope(FaultInjector(plan)):
-                result = PartitionParallelAggregator(config, seed=5).aggregate_avg(
+                result = ISLAAggregator(config, seed=5).aggregate_avg(
                     store
                 )
             answers.append((result.value, result.failed_partitions))
@@ -320,7 +317,7 @@ class TestDegradedAggregation:
         config = ISLAConfig(precision=0.5, parallelism=4)
         with fault_scope(plan):
             with pytest.raises(PartialResultError):
-                PartitionParallelAggregator(config, seed=1).aggregate_avg(store)
+                ISLAAggregator(config, seed=1).aggregate_avg(store)
 
     def test_baseline_survives_partition_failures(self):
         store = _store()
@@ -352,6 +349,23 @@ class TestDegradedAggregation:
         assert result.failed_partitions == (2,)
         assert 0.0 < result.sample_fraction < 1.0
         assert result.details["degraded"] is True
+
+    @pytest.mark.parametrize("method", ["ISLA", "US"])
+    def test_default_engine_degrades_too(self, method):
+        # No parallelism set: the partition tasks run inline on the caller's
+        # thread, through the same fault sites as a sharded scan.
+        engine = AQPEngine(seed=13)
+        engine.register_store(_store("inline"))
+        plan = FaultPlan(
+            seed=0, specs=(FaultSpec(site="scan.partition", keys=(2,)),)
+        )
+        with fault_scope(plan):
+            result = engine.execute(
+                f"SELECT AVG(value) FROM inline PRECISION 0.5 METHOD {method}"
+            )
+        assert result.degraded
+        assert result.failed_partitions == (2,)
+        assert result.sample_fraction == pytest.approx(7 / 8)
 
     def test_no_faults_means_no_degradation(self):
         store = _store("clean")

@@ -286,18 +286,20 @@ class TestQueryTelemetry:
         assert root.find("isla.pre_estimate") is not None
 
     def test_parallel_extension_keeps_spans_in_one_trace(self, store):
-        from repro.extensions.distributed import ParallelISLAAggregator
+        from repro.parallel import ScanPool
 
         telemetry = obs.Telemetry(enabled=True)
-        with telemetry.activate():
-            ParallelISLAAggregator(
-                ISLAConfig(precision=0.5), max_workers=4, seed=6
+        with ScanPool(max_workers=4) as pool, telemetry.activate():
+            ISLAAggregator(
+                ISLAConfig(precision=0.5), seed=6, pool=pool, parallelism=4
             ).aggregate_avg(store)
         root = telemetry.tracer.last_trace()
-        assert root.name == "parallel.scan"
+        assert root.name == "isla.aggregate"
         # Worker-thread spans attach to the same trace via context copies.
-        assert len(root.find_all("parallel.partition")) == store.block_count
+        assert len(root.find_all("isla.block")) == store.block_count
         assert len(root.find_all("sample.draw")) == store.block_count
+        counters = obs.summarize_trace(root)["counters"]
+        assert counters["isla.blocks"] == store.block_count
 
     def test_timed_extension_replaces_manual_timing(self, store):
         from repro.extensions.time_constraint import TimeConstrainedAggregator

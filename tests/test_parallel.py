@@ -1,28 +1,28 @@
-"""Determinism regression suite for the partition-parallel backend.
+"""Determinism regression suite for the partition scan.
 
 The contract under test (:mod:`repro.parallel.seeding`): for a fixed seed,
 estimates, CI bounds and sample sizes are **bit-identical** — not merely
-close — at parallelism 1, 2 and 4, for every aggregate type and every
-sampler.  Worker threads may only change *when* a partition runs, never
-*which random stream* it consumes.
+close — at the default (inline) parallelism and at parallelism 1, 2 and 4,
+for every aggregate type and every sampler.  Worker threads may only change
+*when* a partition runs, never *which random stream* it consumes.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass, field
+from typing import List, Optional
 
 import numpy as np
 import pytest
 
 from repro.core.config import ISLAConfig
+from repro.core.isla import ISLAAggregator
 from repro.errors import ConfigurationError
 from repro.parallel import (
-    PartitionParallelAggregator,
     ScanPool,
+    ScanStreams,
     as_seed_sequence,
-    parallel_baseline_aggregate,
-    parallel_exact_mean,
-    partition_generators,
     reset_shared_scan_pool,
-    spawn_scan_seeds,
 )
 from repro.parallel.bench import build_bench_store, run_benchmark
 from repro.query.engine import AQPEngine
@@ -36,8 +36,11 @@ from repro.sampling import (
     StratifiedAggregator,
     UniformAggregator,
 )
+from repro.storage.block import Block
+from repro.storage.blockstore import BlockStore
 
-PARALLELISM_LEVELS = (1, 2, 4)
+#: None is the default: every partition task inline on the caller's thread
+PARALLELISM_LEVELS = (None, 1, 2, 4)
 
 #: every sampler of the comparison suite, as zero-argument factories
 SAMPLERS = {
@@ -65,40 +68,72 @@ def pool():
         yield shared
 
 
+def _draws(generator: np.random.Generator) -> tuple:
+    return tuple(generator.integers(0, 2**62, size=4))
+
+
 class TestSeedContract:
-    def test_spawn_is_independent_of_worker_count(self):
-        # The spawn takes no pool/worker information at all: same inputs,
-        # same children, regardless of how the scan will be scheduled.
-        first = spawn_scan_seeds(123, 8)
-        second = spawn_scan_seeds(123, 8)
-        assert first[0].entropy == second[0].entropy
-        for left, right in zip(first[1], second[1]):
-            assert left.spawn_key == right.spawn_key
+    def test_streams_are_independent_of_worker_count(self):
+        # ScanStreams takes no pool/worker information at all: the same key
+        # names the same streams, whichever thread realises them.
+        first, second = ScanStreams(123, 2), ScanStreams(123, 2)
+        assert _draws(first.pre_phase) == _draws(second.pre_phase)
+        for partition in range(8):
+            for stream in range(2):
+                left = _draws(first.generator(partition, stream))
+                right = _draws(second.generator(partition, stream))
+                assert left == right
+
+    def test_streams_per_partition_are_distinct(self):
+        streams = ScanStreams(0, streams_per_partition=2)
+        pre_phase = _draws(streams.pre_phase)
+        seen = {
+            _draws(streams.generator(partition, stream))
+            for partition in range(4)
+            for stream in range(2)
+        }
+        assert len(seen) == 8
+        assert pre_phase not in seen
+        with pytest.raises(ValueError):
+            streams.generator(0, 2)
+
+    def test_stream_is_the_key_advanced_by_its_index(self):
+        # Partition i, stream s is the scan's base state advanced by
+        # (i*S + s) * 2**64 draws past partition 0's stream 0.
+        streams = ScanStreams(7, streams_per_partition=3)
+        reference = np.random.PCG64(as_seed_sequence(7))
+        reference.state = streams.generator(0, 0).bit_generator.state
+        reference.advance((2 * 3 + 1) * 2**64)
+        expected = _draws(np.random.Generator(reference))
+        assert _draws(streams.generator(2, 1)) == expected
 
     def test_generator_roots_at_its_seed_sequence(self):
         generator = np.random.default_rng(99)
         assert as_seed_sequence(generator).entropy == 99
 
     def test_seed_sequence_root_never_mutated(self):
-        # Rooting many scans at the same SeedSequence must not advance its
-        # spawn counter — every scan sees the same partition seeds.
+        # Keying many scans with the same SeedSequence must not advance its
+        # spawn counter — every scan sees the same streams.
         child = np.random.SeedSequence(5).spawn(1)[0]
-        first = spawn_scan_seeds(child, 4)
-        second = spawn_scan_seeds(child, 4)
+        first, second = ScanStreams(child), ScanStreams(child)
         assert child.n_children_spawned == 0
-        assert [s.spawn_key for s in first[1]] == [s.spawn_key for s in second[1]]
+        assert _draws(first.generator(3)) == _draws(second.generator(3))
         root = as_seed_sequence(child)
         assert (root.entropy, root.spawn_key) == (child.entropy, child.spawn_key)
 
-    def test_partition_generators_bundle_size(self):
-        _, seeds = spawn_scan_seeds(0, 4)
-        bundles = partition_generators(seeds, streams_per_partition=2)
-        assert len(bundles) == 4
-        assert all(len(bundle) == 2 for bundle in bundles)
-
     def test_negative_partition_count_rejected(self):
         with pytest.raises(ValueError):
-            spawn_scan_seeds(0, -1)
+            ScanStreams(0).generator(-1)
+        with pytest.raises(ValueError):
+            ScanStreams(0, streams_per_partition=0)
+
+    def test_streams_avoid_the_callers_own_generator(self):
+        # A caller that seeds data or its own draws with default_rng(seed)
+        # must not see a scan keyed by the same seed replay those draws.
+        own = _draws(np.random.default_rng(11))
+        streams = ScanStreams(11)
+        assert own != _draws(streams.pre_phase)
+        assert own != _draws(streams.generator(0))
 
 
 class TestDefaultParallelism:
@@ -159,7 +194,7 @@ class TestISLADeterminism:
         config = ISLAConfig(precision=0.5)
         answers = set()
         for parallelism in PARALLELISM_LEVELS:
-            aggregator = PartitionParallelAggregator(
+            aggregator = ISLAAggregator(
                 config, seed=11, pool=pool, parallelism=parallelism
             )
             if aggregate == "avg":
@@ -175,17 +210,17 @@ class TestISLADeterminism:
     def test_accuracy_against_truth(self, drift_store, pool):
         config = ISLAConfig(precision=0.5)
         truth = drift_store.exact_mean()
-        result = PartitionParallelAggregator(
+        result = ISLAAggregator(
             config, seed=11, pool=pool, parallelism=4
         ).aggregate_avg(drift_store)
         assert abs(result.value - truth) <= 2 * config.precision
 
     def test_seed_sequence_root_accepted(self, drift_store, pool):
         # The serving layer hands per-query SeedSequence children down as
-        # scan roots; the two layers must compose deterministically.
+        # scan keys; the two layers must compose deterministically.
         child = np.random.SeedSequence(7).spawn(3)[1]
         values = {
-            PartitionParallelAggregator(
+            ISLAAggregator(
                 ISLAConfig(precision=0.5), seed=child, pool=pool, parallelism=p
             ).aggregate_avg(drift_store).value
             for p in PARALLELISM_LEVELS
@@ -198,9 +233,9 @@ class TestBaselineDeterminism:
     def test_bit_identical_across_parallelism(self, drift_store, pool, name):
         answers = set()
         for parallelism in PARALLELISM_LEVELS:
-            estimate = parallel_baseline_aggregate(
-                SAMPLERS[name](), drift_store, rate=0.05,
-                seed=5, pool=pool, parallelism=parallelism,
+            estimate = SAMPLERS[name]().aggregate(
+                drift_store, rate=0.05, rng=np.random.default_rng(5),
+                pool=pool, parallelism=parallelism,
             )
             answers.add((estimate.value, estimate.sample_size))
         assert len(answers) == 1
@@ -208,9 +243,9 @@ class TestBaselineDeterminism:
     @pytest.mark.parametrize("name", sorted(SAMPLERS))
     def test_estimates_land_near_truth(self, drift_store, pool, name):
         truth = drift_store.exact_mean()
-        estimate = parallel_baseline_aggregate(
-            SAMPLERS[name](), drift_store, rate=0.1,
-            seed=5, pool=pool, parallelism=4,
+        estimate = SAMPLERS[name]().aggregate(
+            drift_store, rate=0.1, rng=np.random.default_rng(5),
+            pool=pool, parallelism=4,
         )
         # MV is intentionally biased to (mu^2 + sigma^2) / mu; every other
         # sampler should land within a loose tolerance of the truth.
@@ -218,40 +253,36 @@ class TestBaselineDeterminism:
         assert abs(estimate.value - truth) <= tolerance
 
     def test_details_carry_parallelism(self, drift_store, pool):
-        estimate = parallel_baseline_aggregate(
-            UniformAggregator(), drift_store, rate=0.05,
-            seed=5, pool=pool, parallelism=2,
+        estimate = UniformAggregator(seed=5).aggregate(
+            drift_store, rate=0.05, pool=pool, parallelism=2
         )
         assert estimate.details["parallelism"] == 2
         assert estimate.details["partitions"] == drift_store.block_count
+        default = UniformAggregator(seed=5).aggregate(drift_store, rate=0.05)
+        assert default.details["parallelism"] == 1
 
     def test_precision_target_resolves_deterministically(self, drift_store, pool):
         values = {
-            parallel_baseline_aggregate(
-                UniformAggregator(), drift_store, precision=1.0,
-                seed=5, pool=pool, parallelism=p,
+            UniformAggregator(seed=5).aggregate(
+                drift_store, precision=1.0, pool=pool, parallelism=p
             ).value
             for p in PARALLELISM_LEVELS
         }
         assert len(values) == 1
 
     def test_aggregate_entry_point_delegates(self, drift_store, pool):
-        # BaselineAggregator.aggregate(parallelism=...) must route through
-        # the same kernels as the direct call.
-        direct = parallel_baseline_aggregate(
-            UniformAggregator(seed=5), drift_store, rate=0.05,
-            pool=pool, parallelism=2,
-        )
-        via_api = UniformAggregator(seed=5).aggregate(
+        # The default call and an explicit pool/parallelism run one scan:
+        # the seed, not the entry point, decides the answer.
+        default = UniformAggregator(seed=5).aggregate(drift_store, rate=0.05)
+        explicit = UniformAggregator(seed=5).aggregate(
             drift_store, rate=0.05, pool=pool, parallelism=2
         )
-        assert via_api.value == direct.value
-        assert via_api.sample_size == direct.sample_size
+        assert explicit.value == default.value
+        assert explicit.sample_size == default.sample_size
 
     def test_degenerate_rate_raises_same_error_as_serial(self, drift_store, pool):
-        # A rate so small every block's share rounds to zero: the serial
-        # scan dies in BlockStore.uniform_sample with EmptyDataError, and
-        # the parallel kernel must surface the same exception branch.
+        # A rate so small every block's share rounds to zero fails with the
+        # same exception as BlockStore.uniform_sample, at any parallelism.
         from repro.errors import EmptyDataError
 
         with pytest.raises(EmptyDataError):
@@ -263,12 +294,79 @@ class TestBaselineDeterminism:
 
 
 class TestExactParallel:
-    def test_matches_serial_exact(self, drift_store, pool):
-        mean, rows = parallel_exact_mean(
-            drift_store, pool=pool, parallelism=4
+    def test_matches_serial_exact(self, drift_store):
+        reset_shared_scan_pool()
+        try:
+            for parallelism in PARALLELISM_LEVELS:
+                engine = AQPEngine(parallelism=parallelism)
+                engine.register_store(drift_store)
+                result = engine.execute("SELECT AVG(value) FROM drift METHOD EXACT")
+                assert result.sample_size == drift_store.total_rows
+                assert result.value == pytest.approx(drift_store.exact_mean(), rel=1e-12)
+        finally:
+            reset_shared_scan_pool()
+
+
+@dataclass
+class _GrowingStore(BlockStore):
+    """A table that gains a block the first time a pilot sample is drawn.
+
+    The append lands between a scan's first read of the block list and its
+    partition phase — the window a concurrent ``append_array`` can hit.
+    Scan snapshots copy these fields, so they share the flag and append to
+    the original table.
+    """
+
+    table: Optional[BlockStore] = None
+    grown: List[bool] = field(default_factory=list)
+
+    def pilot_sample(self, column, sample_size, rng):
+        sample = super().pilot_sample(column, sample_size, rng)
+        if not self.grown:
+            self.grown.append(True)
+            self.table.append_block(np.full(500, 100.0))
+        return sample
+
+
+def _growing(name: str) -> BlockStore:
+    store = build_bench_store(8_000, 4, seed=1, name=name)
+    growing = _GrowingStore(name=name, _blocks=list(store.blocks))
+    growing.table = growing
+    return growing
+
+
+class TestBlockSnapshot:
+    """A scan reads one block list, however the table grows meanwhile."""
+
+    def test_isla_scans_the_blocks_it_pre_estimated(self, pool):
+        store = _growing("growing-isla")
+        result = ISLAAggregator(
+            ISLAConfig(precision=1.0), seed=3, pool=pool, parallelism=2
+        ).aggregate_avg(store)
+        assert store.block_count == 5  # the append happened mid-scan
+        assert len(result.block_results) == 4
+        assert result.data_size == 8_000
+        assert not result.degraded
+
+    def test_baseline_scans_the_blocks_it_resolved_the_rate_on(self, pool):
+        store = _growing("growing-us")
+        estimate = UniformAggregator(seed=3).aggregate(
+            store, precision=1.0, pool=pool, parallelism=2
         )
-        assert rows == drift_store.total_rows
-        assert mean == pytest.approx(drift_store.exact_mean(), rel=1e-12)
+        assert store.block_count == 5
+        assert estimate.details["partitions"] == 4
+        assert "degraded" not in estimate.details
+
+
+class TestSampleColumn:
+    def test_with_replacement_draws_match_choice(self):
+        # Block.sample_column draws with-replacement indices with
+        # rng.integers; they must be the very indices rng.choice draws.
+        for n, k in ((1, 5), (7, 3), (1_000, 250), (2**20 + 3, 64)):
+            block = Block.from_values(0, np.arange(n, dtype=float))
+            drawn = block.sample_column("value", k, np.random.default_rng(n))
+            chosen = np.random.default_rng(n).choice(n, size=k, replace=True)
+            assert np.array_equal(drawn, chosen.astype(float))
 
 
 class TestEngineIntegration:
@@ -285,6 +383,12 @@ class TestEngineIntegration:
             "SELECT SUM(value) FROM readings PRECISION 0.5",
             "SELECT AVG(value) FROM readings PRECISION 1.0 METHOD US",
             "SELECT AVG(value) FROM readings PRECISION 1.0 METHOD STS",
+            "SELECT AVG(value) FROM readings PRECISION 1.0 METHOD MV",
+            "SELECT AVG(value) FROM readings PRECISION 1.0 METHOD MVB",
+            "SELECT AVG(value) FROM readings PRECISION 1.0 METHOD SLEV",
+            "SELECT AVG(value) FROM readings PRECISION 1.0 METHOD BILEVEL",
+            "SELECT AVG(value) FROM readings PRECISION 1.0 METHOD EBS",
+            "SELECT AVG(value) FROM readings PRECISION 1.0 METHOD BLOCK",
             "SELECT AVG(value) FROM readings METHOD EXACT",
         ],
     )
@@ -299,18 +403,12 @@ class TestEngineIntegration:
         finally:
             reset_shared_scan_pool()
 
-    def test_parallel_matches_legacy_serial_isla_distribution(self):
-        # parallelism=None keeps the legacy serial path; the partition
-        # backend must stay within the same statistical guarantee.
-        serial = self._engine(None).execute(
+    def test_default_engine_scans_inline(self):
+        result = self._engine(None).execute(
             "SELECT AVG(value) FROM readings PRECISION 0.5"
         )
-        parallel = self._engine(2).execute(
-            "SELECT AVG(value) FROM readings PRECISION 0.5"
-        )
-        assert abs(serial.value - parallel.value) <= 2 * 0.5
-        assert parallel.details["parallelism"] == 2
-        assert "parallelism" not in serial.details
+        assert result.details["parallelism"] == 1
+        assert result.details["partitions"] == 8
 
     def test_config_rejects_non_positive_parallelism(self):
         with pytest.raises(ConfigurationError):

@@ -1,14 +1,14 @@
-"""Property-based statistical tests: empirical CI coverage, serial vs parallel.
+"""Property-based statistical tests: empirical CI coverage, inline vs sharded.
 
 The system's contract is statistical: an answer with ``PRECISION e
 CONFIDENCE beta`` must land within ``e`` of the truth in at least a
 ``beta`` fraction of runs.  These tests measure that fraction empirically
 over a seeded grid of synthetic tables and precisions (>= 200 independent
 trials per case, no external property-testing dependency) and assert it
-stays within the statistical allowance of ``beta`` — for the serial path
-and for the partition-parallel path, which must obey the *same*
-distribution because parallelism only re-schedules identical random
-streams (see :mod:`repro.parallel.seeding`).
+stays within the statistical allowance of ``beta`` — for the default scan,
+whose partition tasks run inline, and for a scan sharded across the pool,
+which must obey the *same* distribution because parallelism only
+re-schedules identical random streams (see :mod:`repro.parallel.seeding`).
 
 The allowance is the normal-approximation noise of a coverage proportion:
 ``beta - 4 * sqrt(beta * (1 - beta) / trials)`` — about 0.089 below beta
@@ -25,7 +25,7 @@ import pytest
 
 from repro.core.config import ISLAConfig
 from repro.core.isla import ISLAAggregator
-from repro.parallel import PartitionParallelAggregator, ScanPool
+from repro.parallel import ScanPool
 from repro.sampling import UniformAggregator
 from repro.storage.blockstore import BlockStore
 
@@ -87,7 +87,7 @@ class TestISLACoverage:
 
         def run_trial(trial: int) -> float:
             return (
-                PartitionParallelAggregator(
+                ISLAAggregator(
                     config, seed=trial, pool=pool, parallelism=2
                 )
                 .aggregate_avg(store)
@@ -104,10 +104,10 @@ class TestISLACoverage:
         store = _store(3, 100.0, 20.0)
         config = ISLAConfig(precision=1.0, confidence=0.95, pilot_sample_size=300)
         for trial in range(25):
-            narrow = PartitionParallelAggregator(
+            narrow = ISLAAggregator(
                 config, seed=trial, pool=pool, parallelism=1
             ).aggregate_avg(store)
-            wide = PartitionParallelAggregator(
+            wide = ISLAAggregator(
                 config, seed=trial, pool=pool, parallelism=4
             ).aggregate_avg(store)
             assert narrow.value == wide.value
