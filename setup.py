@@ -1,10 +1,27 @@
-"""Setup shim.
+"""Package configuration for ``repro``.
 
-The project is configured through ``pyproject.toml``; this file exists so the
-package can be installed in environments without the ``wheel`` package (the
-legacy ``pip install -e . --no-use-pep517`` path needs a ``setup.py``).
+Installs the ``src/repro`` package.  The version is read from
+``src/repro/__init__.py`` so it is declared in one place::
+
+    python setup.py --name --version
+    pip install -e . --no-use-pep517
 """
 
-from setuptools import setup
+import re
+from pathlib import Path
 
-setup()
+from setuptools import find_packages, setup
+
+_INIT = Path(__file__).resolve().parent / "src" / "repro" / "__init__.py"
+_VERSION = re.search(
+    r'^__version__ = "([^"]+)"', _INIT.read_text(encoding="utf-8"), re.MULTILINE
+).group(1)
+
+setup(
+    name="repro",
+    version=_VERSION,
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+    python_requires=">=3.10",
+    install_requires=["numpy", "scipy"],
+)

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from contextlib import nullcontext
+from dataclasses import replace
 from typing import List, Optional
 
 import numpy as np
@@ -284,31 +285,18 @@ class ISLAAggregator:
         """Approximate ``SUM(column)``: the AVG answer multiplied by ``M``."""
         avg_result = self.aggregate_avg(store, column, rate=rate, rng=rng)
         data_size = avg_result.data_size
-        interval = ConfidenceInterval(
-            center=avg_result.value * data_size,
-            radius=avg_result.precision * data_size,
-            confidence=avg_result.confidence,
-        )
-        return AggregateResult(
+        # Scaling by M scales the interval too, including a degraded AVG's
+        # widened radius.
+        return replace(
+            avg_result,
             value=avg_result.value * data_size,
             aggregate="sum",
-            column=avg_result.column,
-            table=avg_result.table,
             precision=avg_result.precision * data_size,
-            confidence=avg_result.confidence,
-            interval=interval,
-            sampling_rate=avg_result.sampling_rate,
-            sample_size=avg_result.sample_size,
-            sketch0=avg_result.sketch0,
-            sigma_estimate=avg_result.sigma_estimate,
-            data_size=data_size,
-            block_results=avg_result.block_results,
-            method=self.method,
-            elapsed_seconds=avg_result.elapsed_seconds,
-            translation_offset=avg_result.translation_offset,
-            degraded=avg_result.degraded,
-            failed_partitions=avg_result.failed_partitions,
-            sample_fraction=avg_result.sample_fraction,
+            interval=ConfidenceInterval(
+                center=avg_result.value * data_size,
+                radius=avg_result.interval.radius * data_size,
+                confidence=avg_result.confidence,
+            ),
         )
 
     # ------------------------------------------------------------- internals

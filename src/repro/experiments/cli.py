@@ -74,52 +74,24 @@ def build_parser() -> argparse.ArgumentParser:
              "scan pool (default: 1, inline on the caller's thread; seeded "
              "answers are bit-identical at any width)",
     )
-    serving = parser.add_argument_group(
-        "serving", "options for the 'serve' entry point (query-serving benchmark)"
-    )
-    serving.add_argument(
-        "--workers", type=int, default=4,
-        help="worker threads of the QueryService (default 4)",
-    )
-    serving.add_argument(
-        "--tables", type=int, default=3,
-        help="synthetic tables in the serving workload (default 3)",
-    )
-    serving.add_argument(
-        "--repeats", type=int, default=4,
-        help="times each unique statement repeats in the workload (default 4)",
-    )
     storage = parser.add_argument_group(
-        "durable storage", "options for the 'save'/'load' entry points and "
-        "'serve --data-dir' (crash-safe on-disk block stores)"
+        "durable storage", "options for the 'save'/'load' entry points "
+        "(crash-safe on-disk block stores)"
     )
     storage.add_argument(
         "--data-dir", type=str, default=None, metavar="DIR",
         help="directory of durable block stores: 'save' snapshots synthetic "
-             "tables into it, 'load' opens and summarises it, 'serve' runs "
-             "the benchmark against it (mmap scans)",
+             "tables into it, 'load' opens and summarises it (mmap scans)",
+    )
+    storage.add_argument(
+        "--tables", type=int, default=3,
+        help="synthetic tables written by the 'save' entry point (default 3)",
     )
     storage.add_argument(
         "--blocks", type=int, default=16, metavar="B",
         help="blocks per table written by the 'save' entry point (default 16)",
     )
     return parser
-
-
-def _run_serve(args) -> str:
-    """The ``serve`` entry point: the serving-subsystem throughput benchmark."""
-    from repro.serve.bench import format_report, run_throughput_benchmark
-
-    report = run_throughput_benchmark(
-        data_size=args.data_size if args.data_size is not None else 200_000,
-        table_count=args.tables,
-        repeats=args.repeats,
-        workers=args.workers,
-        seed=args.seed,
-        parallelism=args.parallelism,
-        data_dir=args.data_dir,
-    )
-    return format_report(report)
 
 
 def _require_data_dir(args, entry: str) -> str:
@@ -156,7 +128,7 @@ def _run_save(args) -> str:
 def _run_load(args) -> str:
     """The ``load`` entry point: open a data directory and summarise it."""
     from repro.query.engine import AQPEngine
-    from repro.serve.bench import discover_store_directories
+    from repro.storage.persist import discover_store_directories
 
     data_dir = _require_data_dir(args, "load")
     lines = [f"durable load ← {data_dir}"]
@@ -198,6 +170,10 @@ def _run_parallel(args) -> str:
     return format_report(report)
 
 
+#: the non-experiment entry points, each rendering its own report
+_ENTRY_POINTS = {"parallel": _run_parallel, "save": _run_save, "load": _run_load}
+
+
 def _run_one(identifier: str, data_size: Optional[int], seed: int) -> tuple:
     runner = get_experiment(identifier)
     kwargs = {"seed": seed}
@@ -229,9 +205,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         print("Available experiments:")
         for identifier, description in list_experiments().items():
             print(f"  {identifier:16s} {description}")
-        print(f"  {'serve':16s} query-serving subsystem throughput benchmark "
-              "(worker pool + precision-aware cache; --data-dir serves "
-              "from durable stores)")
         print(f"  {'parallel':16s} partition-parallel scan benchmark "
               "(inline vs sharded, determinism check)")
         print(f"  {'save':16s} snapshot synthetic tables into --data-dir "
@@ -249,21 +222,10 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     per_experiment: Dict[str, float] = {}
     for identifier in identifiers:
-        if identifier.lower() == "serve":
-            with obs.stopwatch("experiment.serve", seed=args.seed) as watch:
-                text = _run_serve(args)
-            per_experiment[identifier] = watch.elapsed_seconds
-            print(text + "\n")
-            continue
-        if identifier.lower() == "parallel":
-            with obs.stopwatch("experiment.parallel", seed=args.seed) as watch:
-                text = _run_parallel(args)
-            per_experiment[identifier] = watch.elapsed_seconds
-            print(text + "\n")
-            continue
-        if identifier.lower() in ("save", "load"):
-            runner = _run_save if identifier.lower() == "save" else _run_load
-            with obs.stopwatch(f"experiment.{identifier}", seed=args.seed) as watch:
+        entry = identifier.lower()
+        if entry in _ENTRY_POINTS:
+            runner = _ENTRY_POINTS[entry]
+            with obs.stopwatch(f"experiment.{entry}", seed=args.seed) as watch:
                 text = runner(args)
             per_experiment[identifier] = watch.elapsed_seconds
             print(text + "\n")

@@ -10,6 +10,7 @@ size, and runs the normal ISLA pipeline with that sampling rate.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Optional
 
 import numpy as np
@@ -110,23 +111,8 @@ class TimeConstrainedAggregator:
             )
             watch.set_tag("affordable_rows", affordable_rows)
             watch.set_tag("achieved_precision", achieved_precision)
-        total_elapsed = watch.elapsed_seconds
-        # Report the end-to-end latency of the constrained run.
-        return AggregateResult(
-            value=result.value,
-            aggregate=result.aggregate,
-            column=result.column,
-            table=result.table,
-            precision=result.precision,
-            confidence=result.confidence,
-            interval=result.interval,
-            sampling_rate=result.sampling_rate,
-            sample_size=result.sample_size,
-            sketch0=result.sketch0,
-            sigma_estimate=result.sigma_estimate,
-            data_size=result.data_size,
-            block_results=result.block_results,
-            method="ISLA-timed",
-            elapsed_seconds=total_elapsed,
-            translation_offset=result.translation_offset,
+        # Report the end-to-end latency of the constrained run; the scan's
+        # degradation tags carry over unchanged.
+        return replace(
+            result, method="ISLA-timed", elapsed_seconds=watch.elapsed_seconds
         )

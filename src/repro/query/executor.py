@@ -165,6 +165,7 @@ class QueryExecutor:
             if query.aggregate == "sum":
                 value *= raw.data_size
             details = {**raw.to_dict(), "time_budget_ms": query.time_budget_ms}
+            scan_health = (raw.degraded, raw.failed_partitions, raw.sample_fraction)
         elif method == "EXACT":
             total, sample_size = _exact_scan(plan.store, plan.column, parallelism)
             value = total if query.aggregate == "sum" else total / sample_size

@@ -16,8 +16,6 @@ conditions:
 * :class:`BlockLevelAggregator` — block-level sampling [22].
 * :class:`ErrorBoundedStratifiedAggregator` — error-bounded stratified
   sampling for sparse data [23], simplified.
-* :class:`ReservoirSampler` — a generic streaming reservoir sample used by
-  the online-aggregation example.
 """
 
 from repro.sampling.base import BaselineAggregator, SampleEstimate
@@ -31,7 +29,6 @@ from repro.sampling.slev import SlevAggregator
 from repro.sampling.bilevel import BiLevelAggregator
 from repro.sampling.block_level import BlockLevelAggregator
 from repro.sampling.error_bounded import ErrorBoundedStratifiedAggregator
-from repro.sampling.reservoir import ReservoirSampler
 
 __all__ = [
     "BaselineAggregator",
@@ -44,5 +41,4 @@ __all__ = [
     "BiLevelAggregator",
     "BlockLevelAggregator",
     "ErrorBoundedStratifiedAggregator",
-    "ReservoirSampler",
 ]

@@ -11,16 +11,41 @@ reproduction scale and makes the comparison honest.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.summarization import combine_partial_means
-from repro.errors import SamplingError
+from repro.errors import EstimationError, SamplingError
 from repro.sampling.base import BaselineAggregator, PartitionScan
-from repro.stats.estimators import hansen_hurwitz_mean
 
-__all__ = ["SlevAggregator"]
+__all__ = ["SlevAggregator", "hansen_hurwitz_mean"]
+
+
+def hansen_hurwitz_mean(
+    values: Sequence[float],
+    inclusion_probabilities: Sequence[float],
+    population_size: int,
+) -> float:
+    """Hansen–Hurwitz estimator of the population mean under PPS sampling.
+
+    For ``m`` draws with replacement where item ``i`` is selected with
+    probability ``p_i`` (summing to 1 over the population), the unbiased
+    estimator of the population total is ``(1/m) * sum(x_i / p_i)``; dividing
+    by the population size gives the mean.
+    """
+    value_array = np.asarray(values, dtype=float)
+    prob_array = np.asarray(inclusion_probabilities, dtype=float)
+    if value_array.size == 0:
+        raise EstimationError("hansen_hurwitz_mean requires at least one draw")
+    if value_array.shape != prob_array.shape:
+        raise EstimationError("values and probabilities must have the same shape")
+    if np.any(prob_array <= 0.0):
+        raise EstimationError("all selection probabilities must be positive")
+    if population_size <= 0:
+        raise EstimationError("population_size must be positive")
+    total_estimate = float((value_array / prob_array).mean())
+    return total_estimate / population_size
 
 
 class SlevAggregator(BaselineAggregator):

@@ -1,9 +1,11 @@
-"""Statistical substrate: confidence intervals, running moments, estimators.
+"""Statistical substrate: confidence intervals and distribution summaries.
 
 This package implements the statistics machinery the paper relies on in its
 Pre-estimation module (Section III): normal-quantile based confidence
-intervals (Definition 1), the required-sample-size formula (Eq. 1), and
-numerically stable streaming moments used to summarise pilot samples.
+intervals (Definition 1) and the required-sample-size formula (Eq. 1).  The
+per-region power sums the Calculation module keeps live in
+:mod:`repro.core.accumulators`; the Hansen–Hurwitz estimator of the SLEV
+baseline lives in :mod:`repro.sampling.slev`.
 """
 
 from repro.stats.confidence import (
@@ -14,13 +16,6 @@ from repro.stats.confidence import (
     required_sample_size,
     required_sampling_rate,
 )
-from repro.stats.moments import RunningMoments, StreamingMoments
-from repro.stats.estimators import (
-    hansen_hurwitz_mean,
-    weighted_mean,
-    trimmed_mean,
-    population_total,
-)
 from repro.stats.distributions import DistributionSummary, summarize
 
 __all__ = [
@@ -30,12 +25,6 @@ __all__ = [
     "normal_quantile",
     "required_sample_size",
     "required_sampling_rate",
-    "RunningMoments",
-    "StreamingMoments",
-    "hansen_hurwitz_mean",
-    "weighted_mean",
-    "trimmed_mean",
-    "population_total",
     "DistributionSummary",
     "summarize",
 ]

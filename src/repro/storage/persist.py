@@ -48,7 +48,13 @@ from repro.storage.block import Block
 from repro.storage.blockstore import BlockStore
 from repro.storage.wal import WalRecord, WriteAheadLog, replay_wal
 
-__all__ = ["DurableBlockStore", "save_store", "open_store", "load_manifest"]
+__all__ = [
+    "DurableBlockStore",
+    "save_store",
+    "open_store",
+    "load_manifest",
+    "discover_store_directories",
+]
 
 FORMAT_VERSION = 1
 MANIFEST_NAME = "MANIFEST.json"
@@ -164,6 +170,17 @@ def load_manifest(directory: Union[str, os.PathLike]) -> Dict[str, Any]:
 # --------------------------------------------------------------------------
 # snapshot save / open
 # --------------------------------------------------------------------------
+
+def discover_store_directories(data_dir: Union[str, os.PathLike]) -> List[Path]:
+    """Durable-store directories under ``data_dir`` (or itself if it is one)."""
+    root = Path(data_dir)
+    if (root / MANIFEST_NAME).exists():
+        return [root]
+    found = sorted(path.parent for path in root.glob(f"*/{MANIFEST_NAME}"))
+    if not found:
+        raise StorageError(f"no durable stores ({MANIFEST_NAME}) under {root}")
+    return found
+
 
 def save_store(
     store: BlockStore,

@@ -125,6 +125,31 @@ class TestBlockCalculator:
         assert result.converged
 
 
+class TestPhasesOnALargeBlock:
+    """Algorithms 1 and 2 on a 500k-row N(100, 20^2) block."""
+
+    @pytest.fixture(scope="class")
+    def block_and_boundaries(self):
+        rng = np.random.default_rng(0)
+        block = Block.from_values(0, rng.normal(100.0, 20.0, size=500_000))
+        return block, DataBoundaries.from_sketch(100.1, 20.0)
+
+    def test_sampling_phase_draws_the_rate(self, block_and_boundaries):
+        block, boundaries = block_and_boundaries
+        param_s, param_l, drawn = sampling_phase(
+            block, "value", 0.1, boundaries, np.random.default_rng(1)
+        )
+        assert drawn == 50_000
+        assert param_s.count > 0 and param_l.count > 0
+
+    def test_iteration_phase_converges(self, block_and_boundaries):
+        block, boundaries = block_and_boundaries
+        param_s, param_l, _ = sampling_phase(
+            block, "value", 0.2, boundaries, np.random.default_rng(2)
+        )
+        assert iteration_phase(param_s, param_l, 100.4, ISLAConfig()).converged
+
+
 class TestSummarization:
     def test_weighted_combination(self):
         assert combine_partial_means([10.0, 20.0], [1, 3]) == pytest.approx(17.5)

@@ -74,6 +74,12 @@ class TestAggregateAvg:
         with pytest.raises(EmptyDataError):
             ISLAAggregator(ISLAConfig(), seed=0).aggregate_avg(store)
 
+    def test_million_rows_in_ten_blocks(self):
+        values = np.random.default_rng(3).normal(100.0, 20.0, size=1_000_000)
+        store = BlockStore.from_array("large", values, block_count=10)
+        result = ISLAAggregator(ISLAConfig(precision=0.5), seed=4).aggregate_avg(store)
+        assert abs(result.value - 100.0) < 1.0
+
 
 class TestAggregateSum:
     def test_sum_is_avg_times_size(self, normal_store):

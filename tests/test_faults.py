@@ -311,6 +311,39 @@ class TestDegradedAggregation:
             answers.append((result.value, result.failed_partitions))
         assert answers[0] == answers[1]
 
+    def test_degraded_sum_widens_with_the_avg_interval(self):
+        store = _store()
+        plan = FaultPlan(
+            seed=0, specs=(FaultSpec(site="scan.partition", keys=(0, 2, 4, 6)),)
+        )
+        config = ISLAConfig(precision=0.5)
+        with fault_scope(plan):
+            avg = ISLAAggregator(config, seed=3).aggregate_avg(store)
+            total = ISLAAggregator(config, seed=3).aggregate_sum(store)
+        assert avg.degraded and total.degraded
+        assert total.failed_partitions == avg.failed_partitions == (0, 2, 4, 6)
+        assert avg.interval.radius > config.precision
+        assert total.value == avg.value * store.total_rows
+        assert total.interval.radius == pytest.approx(
+            avg.interval.radius * store.total_rows
+        )
+
+    def test_timed_query_reports_its_degraded_scan(self):
+        engine = AQPEngine(seed=13)
+        engine.register_store(_store("timed"))
+        plan = FaultPlan(
+            seed=0, specs=(FaultSpec(site="scan.partition", keys=(2, 5)),)
+        )
+        with fault_scope(plan):
+            result = engine.execute(
+                "SELECT AVG(value) FROM timed PRECISION 0.5 TIME 5000"
+            )
+        assert result.method == "ISLA-timed"
+        assert result.degraded
+        assert result.failed_partitions == (2, 5)
+        assert result.sample_fraction == pytest.approx(6 / 8)
+        assert result.raw.degraded and result.raw.failed_partitions == (2, 5)
+
     def test_isla_all_partitions_failed_raises_typed_error(self):
         store = _store()
         plan = FaultPlan(seed=0, specs=(FaultSpec(site="scan.partition"),))

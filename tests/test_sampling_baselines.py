@@ -10,7 +10,6 @@ from repro.sampling import (
     ErrorBoundedStratifiedAggregator,
     MeasureBiasedBoundaryAggregator,
     MeasureBiasedValueAggregator,
-    ReservoirSampler,
     SlevAggregator,
     StratifiedAggregator,
     UniformAggregator,
@@ -126,33 +125,3 @@ class TestOtherBaselines:
     def test_error_bounded_requires_two_strata(self):
         with pytest.raises(SamplingError):
             ErrorBoundedStratifiedAggregator(strata=1)
-
-
-class TestReservoirSampler:
-    def test_keeps_at_most_capacity(self):
-        sampler = ReservoirSampler(capacity=50, seed=0)
-        sampler.extend(range(1_000))
-        assert len(sampler) == 50
-        assert sampler.seen == 1_000
-        assert sampler.is_full
-
-    def test_sample_values_come_from_stream(self):
-        sampler = ReservoirSampler(capacity=10, seed=0)
-        sampler.extend(float(v) for v in range(100))
-        assert all(0 <= v < 100 for v in sampler.sample())
-
-    def test_mean_is_roughly_unbiased(self):
-        means = []
-        for seed in range(30):
-            sampler = ReservoirSampler(capacity=100, seed=seed)
-            sampler.extend(float(v) for v in range(1_000))
-            means.append(sampler.mean())
-        assert np.mean(means) == pytest.approx(499.5, abs=30)
-
-    def test_empty_mean_raises(self):
-        with pytest.raises(SamplingError):
-            ReservoirSampler(capacity=5).mean()
-
-    def test_invalid_capacity(self):
-        with pytest.raises(SamplingError):
-            ReservoirSampler(capacity=0)

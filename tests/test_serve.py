@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import threading
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -551,3 +552,65 @@ class TestQueryService:
         children = np.random.SeedSequence(5).spawn(2)
         assert engine.execute_plan(plan, seed=children[0]).value != \
             engine.execute_plan(plan, seed=children[1]).value
+
+
+class TestThroughput:
+    """A repeated multi-table workload: the serial loop vs the cached pool."""
+
+    TABLES = [f"serve_t{index}" for index in range(3)]
+
+    def _engine(self) -> AQPEngine:
+        engine = AQPEngine(seed=0)
+        rng = np.random.default_rng(0)
+        for index, name in enumerate(self.TABLES):
+            values = rng.normal(100.0 + 10.0 * index, 20.0, 20_000)
+            engine.register_array(name, values, block_count=16)
+        return engine
+
+    def test_cached_pool_beats_the_serial_loop(self):
+        workload = [
+            f"SELECT AVG(value) FROM {name} PRECISION {precision:g} CONFIDENCE 0.95"
+            for name in self.TABLES
+            for precision in (0.5, 1.0)
+        ] * 4
+        np.random.default_rng(0).shuffle(workload)
+
+        engine = self._engine()
+        truths = {name: engine.catalog.resolve(name).exact_mean() for name in self.TABLES}
+        start = time.perf_counter()
+        for statement in workload:
+            engine.execute(statement)
+        serial_seconds = time.perf_counter() - start
+
+        config = ServeConfig(workers=4, max_queue=len(workload), seed=0)
+        with QueryService(self._engine(), config) as service:
+            start = time.perf_counter()
+            outcomes = service.execute_many(workload)
+            pool_seconds = time.perf_counter() - start
+        uncached = replace(config, cache_enabled=False)
+        with QueryService(self._engine(), uncached) as service:
+            assert all(outcome.ok for outcome in service.execute_many(workload))
+
+        assert all(outcome.ok for outcome in outcomes)
+        assert pool_seconds < serial_seconds
+        hits = [outcome for outcome in outcomes if outcome.cache_hit]
+        assert len(hits) / len(workload) >= 0.5
+        # A hit (cached or coalesced) may only be served within its achieved
+        # bound: a deterministic contract.
+        for outcome in hits:
+            details = outcome.result.details
+            requested = float(outcome.statement.split("PRECISION")[1].split()[0])
+            assert details["achieved_precision"] <= requested + 1e-12
+            assert (
+                details["achieved_confidence"]
+                >= details["requested_confidence"] - 1e-12
+            )
+        # At 95% confidence about 5% of executions miss by design, so misses
+        # are counted per execution, with slack for a small batch.
+        executed = [outcome for outcome in outcomes if not outcome.cache_hit]
+        misses = sum(
+            abs(outcome.result.value - truths[outcome.result.table])
+            > float(outcome.statement.split("PRECISION")[1].split()[0])
+            for outcome in executed
+        )
+        assert misses <= max(2, round(0.15 * len(executed)))

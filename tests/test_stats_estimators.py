@@ -1,35 +1,10 @@
-"""Unit tests for the classical estimators used by the baselines."""
+"""Tests for the Hansen–Hurwitz estimator behind the SLEV baseline."""
 
 import numpy as np
 import pytest
 
 from repro.errors import EstimationError
-from repro.stats.estimators import (
-    hansen_hurwitz_mean,
-    population_total,
-    trimmed_mean,
-    weighted_mean,
-)
-
-
-class TestWeightedMean:
-    def test_equal_weights_is_plain_mean(self):
-        assert weighted_mean([1, 2, 3, 4], [1, 1, 1, 1]) == pytest.approx(2.5)
-
-    def test_weights_need_not_be_normalised(self):
-        assert weighted_mean([10, 20], [2, 6]) == pytest.approx(17.5)
-
-    def test_rejects_empty(self):
-        with pytest.raises(EstimationError):
-            weighted_mean([], [])
-
-    def test_rejects_mismatched_lengths(self):
-        with pytest.raises(EstimationError):
-            weighted_mean([1, 2], [1])
-
-    def test_rejects_zero_weight_sum(self):
-        with pytest.raises(EstimationError):
-            weighted_mean([1, 2], [0, 0])
+from repro.sampling.slev import hansen_hurwitz_mean
 
 
 class TestHansenHurwitz:
@@ -60,25 +35,3 @@ class TestHansenHurwitz:
     def test_rejects_empty_sample(self):
         with pytest.raises(EstimationError):
             hansen_hurwitz_mean([], [], 10)
-
-
-class TestTrimmedMean:
-    def test_no_trim_is_plain_mean(self):
-        assert trimmed_mean([1, 2, 3, 100], proportion=0.0) == pytest.approx(26.5)
-
-    def test_trimming_removes_outliers(self):
-        values = list(range(100)) + [10_000]
-        assert trimmed_mean(values, proportion=0.05) < 60
-
-    def test_rejects_half_or_more(self):
-        with pytest.raises(EstimationError):
-            trimmed_mean([1, 2, 3], proportion=0.5)
-
-
-class TestPopulationTotal:
-    def test_sum_is_mean_times_size(self):
-        assert population_total(2.5, 1000) == pytest.approx(2500.0)
-
-    def test_rejects_negative_size(self):
-        with pytest.raises(EstimationError):
-            population_total(1.0, -1)
