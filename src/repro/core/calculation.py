@@ -15,6 +15,7 @@ Each block runs two phases:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import sqrt
 from typing import Optional, Tuple
 
 import numpy as np
@@ -28,10 +29,12 @@ from repro.core.modulation import (
     IterativeModulator,
     ModulationCase,
     classify_case,
+    theorem1_step_ratio,
 )
 from repro.core.objective import ObjectiveFunction
 from repro.core.result import BlockResult
 from repro.errors import EstimationError
+from repro.stats.confidence import normal_quantile
 from repro.storage.block import Block
 
 __all__ = ["sampling_phase", "iteration_phase", "BlockCalculator"]
@@ -224,11 +227,6 @@ def _expected_deviations(
     """
     if sketch_interval_radius is None or sketch_interval_radius <= 0.0:
         return None, None
-    from math import sqrt
-
-    from repro.core.modulation import theorem1_step_ratio
-    from repro.stats.confidence import normal_quantile
-
     sketch_std = sketch_interval_radius / normal_quantile(config.confidence)
     count = param_s.count + param_l.count
     if count <= 0:

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 from typing import List, Optional, Tuple
 
 from repro.core.config import ISLAConfig
@@ -223,6 +224,7 @@ class ModulationOutcome:
         return self.l_estimate
 
 
+@lru_cache(maxsize=None)
 def theorem1_step_ratio(p1: float, p2: float) -> float:
     """Theorem 1's deviation ratio ``λ* = ε / (ε + ε')`` under the normal model.
 
@@ -230,7 +232,8 @@ def theorem1_step_ratio(p1: float, p2: float) -> float:
     ``-κ`` times the sketch deviation with ``κ = (p1·φ(p1) − p2·φ(p2)) /
     (Φ(p2) − Φ(p1))``; Theorem 1 therefore prescribes a step-length factor of
     ``κ`` for the l-estimator relative to the sketch.  The value depends only
-    on the data-boundary parameters (≈ 0.24 for the paper's p1=0.5, p2=2.0).
+    on the data-boundary parameters (≈ 0.24 for the paper's p1=0.5, p2=2.0),
+    so it is memoised.
     """
     from scipy.stats import norm
 

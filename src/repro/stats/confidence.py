@@ -10,6 +10,7 @@ is the two-sided normal quantile for ``beta``.  The sampling rate is then
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 import math
 
 from scipy import stats as _scipy_stats
@@ -26,11 +27,13 @@ __all__ = [
 ]
 
 
+@lru_cache(maxsize=None)
 def normal_quantile(confidence: float) -> float:
     """Return the two-sided standard-normal quantile ``u`` for ``confidence``.
 
     ``u`` satisfies ``P(-u <= Z <= u) = confidence`` for ``Z ~ N(0, 1)``.
-    The paper calls this parameter ``u`` in Definition 1.
+    The paper calls this parameter ``u`` in Definition 1.  Memoised: every
+    query and every non-balanced block asks for the same few confidences.
 
     Parameters
     ----------
