@@ -31,6 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
+from statistics import NormalDist
 from typing import List, Optional, Tuple
 
 from repro.core.config import ISLAConfig
@@ -235,10 +236,9 @@ def theorem1_step_ratio(p1: float, p2: float) -> float:
     on the data-boundary parameters (≈ 0.24 for the paper's p1=0.5, p2=2.0),
     so it is memoised.
     """
-    from scipy.stats import norm
-
     if not 0.0 < p1 < p2:
         raise EstimationError(f"need 0 < p1 < p2, got p1={p1}, p2={p2}")
+    norm = NormalDist()
     numerator = p1 * norm.pdf(p1) - p2 * norm.pdf(p2)
     denominator = norm.cdf(p2) - norm.cdf(p1)
     if denominator <= 0.0:

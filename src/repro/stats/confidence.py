@@ -12,8 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 import math
-
-from scipy import stats as _scipy_stats
+from statistics import NormalDist
 
 from repro.errors import ConfigurationError
 
@@ -34,6 +33,9 @@ def normal_quantile(confidence: float) -> float:
     ``u`` satisfies ``P(-u <= Z <= u) = confidence`` for ``Z ~ N(0, 1)``.
     The paper calls this parameter ``u`` in Definition 1.  Memoised: every
     query and every non-balanced block asks for the same few confidences.
+    Computed by the standard library's :class:`statistics.NormalDist`, which
+    can differ from other normal quantile routines in the last bits
+    (DESIGN.md §5).
 
     Parameters
     ----------
@@ -44,7 +46,7 @@ def normal_quantile(confidence: float) -> float:
         raise ConfigurationError(
             f"confidence must lie in (0, 1), got {confidence!r}"
         )
-    return float(_scipy_stats.norm.ppf(0.5 + confidence / 2.0))
+    return NormalDist().inv_cdf(0.5 + confidence / 2.0)
 
 
 def required_sample_size(sigma: float, precision: float, confidence: float) -> int:
