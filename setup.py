@@ -23,5 +23,6 @@ setup(
     package_dir={"": "src"},
     packages=find_packages("src"),
     python_requires=">=3.10",
-    install_requires=["numpy", "scipy"],
+    install_requires=["numpy"],
+    entry_points={"console_scripts": ["isla-experiments = repro.experiments.cli:main"]},
 )

@@ -68,12 +68,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--telemetry", action="store_true",
         help="enable telemetry for the run even without --metrics-out",
     )
-    parser.add_argument(
-        "--parallelism", type=int, default=None, metavar="N",
-        help="partition scan width: shard block scans across the shared "
-             "scan pool (default: 1, inline on the caller's thread; seeded "
-             "answers are bit-identical at any width)",
-    )
     storage = parser.add_argument_group(
         "durable storage", "options for the 'save'/'load' entry points "
         "(crash-safe on-disk block stores)"
@@ -155,23 +149,8 @@ def _run_load(args) -> str:
     return "\n".join(lines)
 
 
-def _run_parallel(args) -> str:
-    """The ``parallel`` entry point: inline vs sharded partition scan bench."""
-    from repro.parallel.bench import format_report, run_benchmark
-
-    levels = (2, 4)
-    if args.parallelism is not None:
-        levels = tuple(sorted({2, 4, max(1, args.parallelism)}))
-    report = run_benchmark(
-        rows=args.data_size if args.data_size is not None else 400_000,
-        seed=args.seed,
-        parallelism_levels=levels,
-    )
-    return format_report(report)
-
-
 #: the non-experiment entry points, each rendering its own report
-_ENTRY_POINTS = {"parallel": _run_parallel, "save": _run_save, "load": _run_load}
+_ENTRY_POINTS = {"save": _run_save, "load": _run_load}
 
 
 def _run_one(identifier: str, data_size: Optional[int], seed: int) -> tuple:
@@ -205,8 +184,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         print("Available experiments:")
         for identifier, description in list_experiments().items():
             print(f"  {identifier:16s} {description}")
-        print(f"  {'parallel':16s} partition-parallel scan benchmark "
-              "(inline vs sharded, determinism check)")
         print(f"  {'save':16s} snapshot synthetic tables into --data-dir "
               "(atomic, crash-safe durable stores)")
         print(f"  {'load':16s} open the durable stores under --data-dir and "

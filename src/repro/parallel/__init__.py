@@ -13,9 +13,7 @@ run each block as one partition task of this package's pool:
   bit-identical at any parallelism;
 * :mod:`repro.parallel.pool` — the process-wide :class:`ScanPool` every
   scan submits shards to (serve workers share it, so concurrent queries
-  never oversubscribe the machine);
-* :mod:`repro.parallel.bench` — the parallelism benchmark behind
-  ``benchmarks/bench_parallel_scan.py``.
+  never oversubscribe the machine).
 
 ``parallelism`` (``AQPEngine(parallelism=4)``, ``ISLAConfig(parallelism=4)``
 or ``--parallelism 4`` on the CLI) is how many shards one scan may run

@@ -24,7 +24,6 @@ from repro.parallel import (
     as_seed_sequence,
     reset_shared_scan_pool,
 )
-from repro.parallel.bench import build_bench_store, run_benchmark
 from repro.query.engine import AQPEngine
 from repro.sampling import (
     BiLevelAggregator,
@@ -56,10 +55,21 @@ SAMPLERS = {
 }
 
 
+def drifting_store(rows: int, blocks: int, seed: int, name: str) -> BlockStore:
+    """A multi-block table with per-block mean drift (non-trivial to sample)."""
+    rng = np.random.default_rng(seed)
+    per_block = max(1, rows // blocks)
+    arrays = [
+        rng.normal(100.0 + 3.0 * index, 20.0, size=per_block)
+        for index in range(blocks)
+    ]
+    return BlockStore.from_block_arrays(name, arrays)
+
+
 @pytest.fixture(scope="module")
 def drift_store():
     """A multi-block table whose blocks have different means (non-i.i.d.)."""
-    return build_bench_store(12_000, 8, seed=3, name="drift")
+    return drifting_store(12_000, 8, seed=3, name="drift")
 
 
 @pytest.fixture(scope="module")
@@ -329,7 +339,7 @@ class _GrowingStore(BlockStore):
 
 
 def _growing(name: str) -> BlockStore:
-    store = build_bench_store(8_000, 4, seed=1, name=name)
+    store = drifting_store(8_000, 4, seed=1, name=name)
     growing = _GrowingStore(name=name, _blocks=list(store.blocks))
     growing.table = growing
     return growing
@@ -414,9 +424,3 @@ class TestEngineIntegration:
         with pytest.raises(ConfigurationError):
             ISLAConfig(parallelism=0)
 
-
-class TestBenchHarness:
-    def test_smoke_benchmark_is_deterministic(self):
-        report = run_benchmark(rows=6_000, blocks=4, seed=9, repeats=1)
-        assert report.deterministic
-        assert report.passed() or report.speedup_expected
