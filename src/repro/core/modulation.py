@@ -225,7 +225,7 @@ class ModulationOutcome:
         return self.l_estimate
 
 
-@lru_cache(maxsize=None)
+@lru_cache
 def theorem1_step_ratio(p1: float, p2: float) -> float:
     """Theorem 1's deviation ratio ``λ* = ε / (ε + ε')`` under the normal model.
 

@@ -26,7 +26,7 @@ __all__ = [
 ]
 
 
-@lru_cache(maxsize=None)
+@lru_cache
 def normal_quantile(confidence: float) -> float:
     """Return the two-sided standard-normal quantile ``u`` for ``confidence``.
 
