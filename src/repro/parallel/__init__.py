@@ -15,8 +15,8 @@ run each block as one partition task of this package's pool:
   scan submits shards to (serve workers share it, so concurrent queries
   never oversubscribe the machine).
 
-``parallelism`` (``AQPEngine(parallelism=4)``, ``ISLAConfig(parallelism=4)``
-or ``--parallelism 4`` on the CLI) is how many shards one scan may run
+``parallelism`` (``AQPEngine(parallelism=4)`` or
+``ISLAConfig(parallelism=4)``) is how many shards one scan may run
 concurrently; the default runs the partition tasks inline on the caller's
 thread.
 """

@@ -114,7 +114,7 @@ def test_answers_match_the_golden_corpus():
 def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else argv
     if args != ["--regen"]:
-        print(__doc__.strip().splitlines()[-1].strip())
+        print("usage: PYTHONPATH=src python tests/test_golden.py --regen")
         return 2
     GOLDEN.parent.mkdir(parents=True, exist_ok=True)
     GOLDEN.write_text(json.dumps(compute_corpus(), indent=1, sort_keys=True) + "\n", encoding="utf-8")

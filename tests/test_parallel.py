@@ -423,4 +423,3 @@ class TestEngineIntegration:
     def test_config_rejects_non_positive_parallelism(self):
         with pytest.raises(ConfigurationError):
             ISLAConfig(parallelism=0)
-
