@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.config import ISLAConfig
 from repro.core.isla import ISLAAggregator
-from repro.errors import EmptyDataError
+from repro.errors import EmptyDataError, PartialResultError
 from repro.storage.blockstore import BlockStore
 from repro.workloads.synthetic import ExponentialWorkload, NormalWorkload, UniformWorkload
 
@@ -79,6 +79,39 @@ class TestAggregateAvg:
         store = BlockStore.from_array("large", values, block_count=10)
         result = ISLAAggregator(ISLAConfig(precision=0.5), seed=4).aggregate_avg(store)
         assert abs(result.value - 100.0) < 1.0
+
+
+class TestConvergenceFailure:
+    """A block that exhausts ``max_iterations`` is a failed partition."""
+
+    CONFIG = ISLAConfig(precision=0.5, max_iterations=1, threshold=1e-12)
+
+    @pytest.fixture(scope="class")
+    def store(self):
+        return NormalWorkload(12_000, mean=100.0, std=20.0, seed=101).generate_store(
+            "normal", block_count=8
+        )
+
+    def test_unconverged_blocks_degrade_the_answer(self, store):
+        result = ISLAAggregator(self.CONFIG, seed=1).aggregate_avg(store)
+        assert result.degraded
+        assert result.failed_partitions == (0, 1, 2, 3, 4, 5)
+        # Only blocks that needed no round survive: one round cannot reach 1e-12.
+        assert [block.block_id for block in result.block_results] == [6, 7]
+        assert all(block.iterations == 0 for block in result.block_results)
+        assert result.interval.radius > self.CONFIG.precision
+        assert result.sample_fraction == pytest.approx(2 / 8)
+
+    def test_no_survivor_raises_partial_result_error(self, store):
+        with pytest.raises(PartialResultError, match="ConvergenceError"):
+            ISLAAggregator(self.CONFIG, seed=4).aggregate_avg(store)
+
+    @pytest.mark.parametrize("parallelism", [1, 4])
+    def test_failures_do_not_depend_on_parallelism(self, store, parallelism):
+        result = ISLAAggregator(
+            self.CONFIG, seed=1, parallelism=parallelism
+        ).aggregate_avg(store)
+        assert result.failed_partitions == (0, 1, 2, 3, 4, 5)
 
 
 class TestAggregateSum:

@@ -6,7 +6,8 @@ tags and ISLA's per-block round counts.  The grid:
 
 * methods: ISLA AVG and SUM, the eight sampling baselines and EXACT;
 * tables: small normal, lognormal and non-IID tables from
-  :mod:`repro.workloads`;
+  :mod:`repro.workloads`, plus a normal table whose values dip below zero,
+  so ISLA's footnote-1 translation applies;
 * seeds 1, 2 and 3, at parallelism ``None`` (inline) and 4;
 * healthy, and under one fixed :func:`~repro.faults.fault_scope` plan that
   fails partition 2 of every table.
@@ -39,6 +40,8 @@ TABLES = {
     .generate_store("lognormal", block_count=8),
     ("noniid", 2.0): lambda: NonIIDWorkload.paper_blocks(rows_per_block=2_400, seed=103)
     .generate_store("noniid"),
+    ("negative", 0.5): lambda: NormalWorkload(12_000, mean=10.0, std=20.0, seed=104)
+    .generate_store("negative", block_count=8),
 }
 
 #: (method, aggregate) pairs of the grid
