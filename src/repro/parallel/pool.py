@@ -126,50 +126,6 @@ class ScanPool:
         self._executor: Optional[ThreadPoolExecutor] = None
 
     # ------------------------------------------------------------------ API
-    def map_partitions(
-        self,
-        function: Callable[[U], T],
-        items: Sequence[U],
-        parallelism: int,
-    ) -> List[T]:
-        """Apply ``function`` to every item, sharded across the pool.
-
-        ``parallelism`` is the number of shards this scan is willing to
-        run concurrently; the effective concurrency is additionally capped
-        by the pool's worker count (shards beyond it simply queue).  With
-        one shard (or one item) the work runs inline on the caller's
-        thread — no pool, no handoff — which keeps ``parallelism=1``
-        byte-for-byte equivalent to the threaded path.
-        """
-        items = list(items)
-        shard_count = max(1, min(int(parallelism), len(items)))
-        if shard_count <= 1:
-            return [function(item) for item in items]
-
-        # Contiguous shards in partition order; sizes differ by at most 1.
-        bounds = [
-            (len(items) * index) // shard_count for index in range(shard_count + 1)
-        ]
-        shards = [items[bounds[i] : bounds[i + 1]] for i in range(shard_count)]
-        # Worker threads start from an empty contextvars context; one copy
-        # per shard keeps their spans attached to the caller's trace (a
-        # Context cannot be entered concurrently, hence one per shard).
-        contexts = [contextvars.copy_context() for _ in shards]
-
-        def run_shard(shard: Sequence[U], context: contextvars.Context) -> List[T]:
-            return context.run(lambda: [function(item) for item in shard])
-
-        executor = self._ensure_executor()
-        obs.counter("parallel.shards", shard_count)
-        futures = [
-            executor.submit(run_shard, shard, context)
-            for shard, context in zip(shards, contexts)
-        ]
-        results: List[T] = []
-        for future in futures:
-            results.extend(future.result())
-        return results
-
     def scan_partial(
         self,
         function: Callable[[U], T],
@@ -221,8 +177,8 @@ class ScanPool:
 
         shard_count = max(1, min(int(parallelism), len(items)))
         if shard_count <= 1:
-            # Inline on the caller's thread — same code path as
-            # ``map_partitions`` at parallelism 1, plus failure capture.
+            # Inline on the caller's thread: no pool, no handoff, so
+            # parallelism 1 never spins up the executor.
             result = PartialScanResult(results=[None] * len(items))
             for index, item in enumerate(items):
                 try:

@@ -7,7 +7,7 @@ from typing import Any, Dict, Optional, Tuple
 
 from repro import obs
 from repro.core.isla import ISLAAggregator
-from repro.errors import QueryPlanError, SamplingError
+from repro.errors import PartialResultError, QueryPlanError, SamplingError
 from repro.parallel.pool import shared_scan_pool
 from repro.query.planner import QueryPlan
 from repro.sampling import (
@@ -95,18 +95,46 @@ def _degradation(
     }
 
 
-def _exact_scan(store, column: str, parallelism: int) -> Tuple[float, int]:
-    """Exact ``(sum, rows)``: per-block partial sums merged in block order."""
+def _exact_scan(
+    store, column: str, aggregate: str, parallelism: int
+) -> Tuple[float, int, Tuple[bool, Tuple[int, ...], float]]:
+    """Exact ``(value, rows, scan health)`` from per-block partial sums.
+
+    Every block is a partition task of the scan pool, so fault plans reach
+    EXACT as they reach the estimators.  Failed partitions are left out: the
+    answer is the AVG over the surviving rows (SUM scales it by the table's
+    rows, as the sampling baselines do) and is tagged degraded.  Healthy
+    scans merge the partial sums in block order.
+    """
+    store = store.snapshot()
+    blocks = store.blocks
 
     def partial(block) -> Tuple[float, int]:
         values = block.column(column)
         return float(values.sum()), int(values.size)
 
-    partials = shared_scan_pool().map_partitions(partial, store.blocks, parallelism)
+    scan = shared_scan_pool().scan_partial(
+        partial,
+        blocks,
+        parallelism,
+        table=store.name,
+        keys=[block.block_id for block in blocks],
+    )
+    partials = scan.completed()
+    if scan.failures and not partials:
+        raise PartialResultError(
+            f"every partition of {store.name!r} failed "
+            f"({len(scan.failures)} failures, first: {scan.failures[0].error!r})"
+        )
     rows = sum(count for _, count in partials)
     if rows == 0:
         raise SamplingError(f"store {store.name!r} has no rows")
-    return sum(piece for piece, _ in partials), rows
+    total = sum(piece for piece, _ in partials)
+    if scan.ok:
+        return (total if aggregate == "sum" else total / rows), rows, (False, (), 1.0)
+    avg = total / rows
+    value = avg * store.total_rows if aggregate == "sum" else avg
+    return value, rows, (True, tuple(sorted(scan.failed_keys)), rows / store.total_rows)
 
 
 class QueryExecutor:
@@ -167,8 +195,9 @@ class QueryExecutor:
             details = {**raw.to_dict(), "time_budget_ms": query.time_budget_ms}
             scan_health = (raw.degraded, raw.failed_partitions, raw.sample_fraction)
         elif method == "EXACT":
-            total, sample_size = _exact_scan(plan.store, plan.column, parallelism)
-            value = total if query.aggregate == "sum" else total / sample_size
+            value, sample_size, scan_health = _exact_scan(
+                plan.store, plan.column, query.aggregate, parallelism
+            )
             details = {
                 "full_scan": True,
                 "parallelism": parallelism,

@@ -218,13 +218,13 @@ class TestDegradedScan:
         assert not scan.failures[0].injected
         assert isinstance(scan.failures[0].error, ValueError)
 
-    def test_clean_scan_matches_map_partitions(self):
+    def test_clean_scan_matches_the_inline_scan(self):
         items = list(range(16))
         with ScanPool(max_workers=4) as pool:
-            mapped = pool.map_partitions(lambda x: x * x, items, parallelism=4)
+            inline = pool.scan_partial(lambda x: x * x, items, parallelism=1)
             scan = pool.scan_partial(lambda x: x * x, items, parallelism=4)
-        assert scan.ok
-        assert scan.results == mapped
+        assert inline.ok and scan.ok
+        assert scan.results == inline.results == [x * x for x in items]
 
 
 class TestStragglerSpeculation:
@@ -383,7 +383,37 @@ class TestDegradedAggregation:
         assert 0.0 < result.sample_fraction < 1.0
         assert result.details["degraded"] is True
 
-    @pytest.mark.parametrize("method", ["ISLA", "US"])
+    @pytest.mark.parametrize("parallelism", [None, 4])
+    def test_exact_answers_over_the_surviving_rows(self, parallelism):
+        store = _store("full")
+        engine = AQPEngine(seed=13, parallelism=parallelism)
+        engine.register_store(store)
+        plan = FaultPlan(
+            seed=0, specs=(FaultSpec(site="scan.partition", keys=(2, 5)),)
+        )
+        survivors = [block for block in store.blocks if block.block_id not in (2, 5)]
+        rows = sum(block.size for block in survivors)
+        avg = sum(float(block.column("value").sum()) for block in survivors) / rows
+        with fault_scope(plan):
+            mean = engine.execute("SELECT AVG(value) FROM full METHOD EXACT")
+            total = engine.execute("SELECT SUM(value) FROM full METHOD EXACT")
+        for result in (mean, total):
+            assert result.degraded
+            assert result.failed_partitions == (2, 5)
+            assert result.sample_size == rows
+            assert result.sample_fraction == pytest.approx(6 / 8)
+        assert mean.value == avg
+        assert total.value == avg * store.total_rows
+
+    def test_exact_with_every_partition_failed_raises_typed_error(self):
+        engine = AQPEngine(seed=13)
+        engine.register_store(_store("lost"))
+        plan = FaultPlan(seed=0, specs=(FaultSpec(site="scan.partition"),))
+        with fault_scope(plan):
+            with pytest.raises(PartialResultError):
+                engine.execute("SELECT AVG(value) FROM lost METHOD EXACT")
+
+    @pytest.mark.parametrize("method", ["ISLA", "US", "EXACT"])
     def test_default_engine_degrades_too(self, method):
         # No parallelism set: the partition tasks run inline on the caller's
         # thread, through the same fault sites as a sharded scan.

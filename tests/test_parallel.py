@@ -179,12 +179,13 @@ class TestScanPool:
     def test_results_keep_partition_order(self):
         with ScanPool(max_workers=4) as pool:
             for parallelism in (1, 2, 3, 4, 9):
-                out = pool.map_partitions(lambda x: x * x, list(range(13)), parallelism)
-                assert out == [x * x for x in range(13)]
+                scan = pool.scan_partial(lambda x: x * x, list(range(13)), parallelism)
+                assert scan.ok
+                assert scan.results == [x * x for x in range(13)]
 
     def test_parallelism_one_runs_inline(self):
         pool = ScanPool(max_workers=4)
-        pool.map_partitions(lambda x: x, [1, 2, 3], 1)
+        pool.scan_partial(lambda x: x, [1, 2, 3], 1)
         assert pool._executor is None  # never spun up
         pool.close()
 
