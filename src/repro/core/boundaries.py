@@ -109,11 +109,17 @@ class DataBoundaries:
         regions[array >= self.l_tl] = int(Region.TOO_LARGE)
         return regions
 
-    def split_sl(self, values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Return the (S values, L values) of a sample in one pass."""
+    def sl_masks(self, values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Boolean masks of the S and L values of a sample."""
         array = np.asarray(values, dtype=float)
         s_mask = (array > self.ts_s) & (array < self.s_n)
         l_mask = (array > self.n_l) & (array < self.l_tl)
+        return s_mask, l_mask
+
+    def split_sl(self, values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Return the (S values, L values) of a sample in one pass."""
+        array = np.asarray(values, dtype=float)
+        s_mask, l_mask = self.sl_masks(array)
         return array[s_mask], array[l_mask]
 
     # ------------------------------------------------------------- geometry

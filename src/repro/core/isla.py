@@ -9,17 +9,20 @@
     print(result.value, result.interval)
 
 The paper's Calculation module runs on each block independently and
-Summarization merges the per-block partial answers (Section VII-E), so the
-aggregator runs pre-estimation once on the caller's thread and then every
-block as one partition task of a :class:`~repro.parallel.pool.ScanPool`
-scan — inline on the caller's thread at parallelism 1 (the default),
-sharded across the pool's threads above it.  Each block draws from its own
-stream of the scan's :class:`~repro.parallel.seeding.ScanStreams`, so a
-seeded answer is bit-identical at every parallelism.
+Summarization merges the per-block partial answers (Section VII-E).  The
+aggregator runs pre-estimation once on the caller's thread; every block's
+sample draw is then one partition task of a
+:class:`~repro.parallel.pool.ScanPool` scan — inline on the caller's thread
+at parallelism 1 (the default), sharded across the pool's threads above it.
+Each block draws from its own stream of the scan's
+:class:`~repro.parallel.seeding.ScanStreams`, so a seeded answer is
+bit-identical at every parallelism.
 
-The aggregator never materialises samples: each block contributes only its
-``paramS`` / ``paramL`` power sums, which also makes the online-aggregation
-extension (Section VII-A) a natural continuation of the same state.
+The Calculation itself runs once per scan over all surviving blocks'
+samples (:func:`~repro.core.calculation.calculate_blocks`): one pass
+reduces them to each block's ``paramS`` / ``paramL`` power sums, and
+Algorithm 2 runs as array arithmetic over the blocks.  Those sums are also
+the state the online-aggregation extension (Section VII-A) continues.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from typing import List, Optional
 import numpy as np
 
 from repro import obs
-from repro.core.calculation import BlockCalculator
+from repro.core.calculation import calculate_blocks, draw_sample
 from repro.core.boundaries import DataBoundaries
 from repro.core.config import ISLAConfig
 from repro.core.pre_estimation import PreEstimate, PreEstimator
@@ -178,8 +181,8 @@ class ISLAAggregator:
             sampling_rate = rate if rate is not None else estimate.sampling_rate
 
             # Negative data are handled by the translation trick of footnote 1:
-            # shift the boundaries and samples into positive territory,
-            # aggregate, then shift the answer back.
+            # shift the boundaries and the drawn values into positive
+            # territory, aggregate, then shift the answer back.
             offset = self._translation_offset(estimate)
             sketch_shifted = estimate.sketch0 + offset
             boundaries = DataBoundaries.from_sketch(
@@ -188,35 +191,43 @@ class ISLAAggregator:
                 p1=self.config.p1,
                 p2=self.config.p2,
             )
-            calculator = BlockCalculator(self.config)
 
-            def run_partition(index: int) -> BlockResult:
+            def draw(index: int) -> np.ndarray:
                 block = blocks[index]
-                if offset != 0.0:
-                    block = _shifted_block(block, column, offset)
                 with obs.span("isla.block", block=block.block_id) as sp:
-                    result = calculator.run(
-                        block,
-                        column,
-                        sampling_rate,
-                        boundaries,
-                        sketch_shifted,
-                        streams.generator(index),
-                        sketch_interval_radius=estimate.relaxed_precision,
+                    sample = draw_sample(
+                        block, column, sampling_rate, streams.generator(index)
                     )
-                    sp.set_tag("sample_size", result.sample_size)
-                    sp.set_tag("iterations", result.iterations)
-                return result
+                    sp.set_tag("sample_size", sample.size)
+                return sample
 
+            # Partition tasks only draw; the Calculation runs once over every
+            # surviving block's sample on this thread.
             scan = self.pool.scan_partial(
-                run_partition,
+                draw,
                 range(len(blocks)),
                 self.parallelism,
                 table=store.name,
                 keys=[block.block_id for block in blocks],
                 straggler_timeout=self.straggler_timeout,
             )
-            block_results: List[BlockResult] = scan.completed()
+            failed = set(scan.failed_indices)
+            drawn = [index for index in range(len(blocks)) if index not in failed]
+            samples = [scan.results[index] for index in drawn]
+            calculation = calculate_blocks(
+                samples,
+                boundaries,
+                sketch_shifted,
+                self.config,
+                sketch_interval_radius=estimate.relaxed_precision,
+                offset=offset,
+            )
+            for row in np.flatnonzero(calculation.failed).tolist():
+                index = drawn[row]
+                scan.fail(index, blocks[index].block_id, calculation.error(row))
+            block_results: List[BlockResult] = calculation.block_results(
+                [blocks[index] for index in drawn], [sample.size for sample in samples]
+            )
             if not block_results:
                 raise PartialResultError(
                     f"every partition of {store.name!r} failed "
@@ -312,11 +323,3 @@ class ISLAAggregator:
             return 0.0
         return -lower_reach
 
-
-def _shifted_block(block, column, offset):
-    """Return a lightweight copy of ``block`` with ``column`` shifted by ``offset``."""
-    from repro.storage.block import Block
-
-    shifted = dict(block.columns)
-    shifted[column] = block.column(column) + offset
-    return Block(block_id=block.block_id, columns=shifted)

@@ -249,7 +249,13 @@ def theorem1_step_ratio(p1: float, p2: float) -> float:
 
 
 class IterativeModulator:
-    """Runs the Phase-2 iteration (Algorithm 2, lines 5–12)."""
+    """Runs the Phase-2 iteration (Algorithm 2, lines 5–12) on one block.
+
+    The aggregator runs the same arithmetic over all blocks at once
+    (:func:`repro.core.calculation.modulate`); this scalar loop is the
+    reference it is tested against, and keeps a per-round trace for the
+    worked examples.
+    """
 
     def __init__(self, config: Optional[ISLAConfig] = None, keep_trace: bool = False) -> None:
         self.config = config or ISLAConfig()

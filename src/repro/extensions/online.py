@@ -11,17 +11,17 @@ retain or re-weight its sample set.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 import numpy as np
 
 from repro import obs
 from repro.core.accumulators import RegionMoments
 from repro.core.boundaries import DataBoundaries
-from repro.core.calculation import iteration_phase, sampling_phase
+from repro.core.calculation import RegionSums, modulate, sampling_phase
 from repro.core.config import ISLAConfig
 from repro.core.pre_estimation import PreEstimate, PreEstimator
-from repro.core.result import AggregateResult, BlockResult
+from repro.core.result import AggregateResult
 from repro.core.summarization import combine_block_results
 from repro.errors import EstimationError
 from repro.stats.confidence import ConfidenceInterval
@@ -145,33 +145,19 @@ class OnlineAggregator:
     def _current_result(self) -> AggregateResult:
         assert self._state is not None and self._store is not None and self._column is not None
         state = self._state
-        block_results: List[BlockResult] = []
-        for block in self._store.blocks:
-            output = iteration_phase(
-                state.param_s[block.block_id],
-                state.param_l[block.block_id],
-                state.pre_estimate.sketch0,
-                self.config,
-                sketch_interval_radius=state.pre_estimate.relaxed_precision,
-            )
-            block_results.append(
-                BlockResult(
-                    block_id=block.block_id,
-                    estimate=output.estimate,
-                    block_size=block.size,
-                    sample_size=state.samples_drawn[block.block_id],
-                    count_s=state.param_s[block.block_id].count,
-                    count_l=state.param_l[block.block_id].count,
-                    case=output.case.value,
-                    iterations=output.iterations,
-                    alpha=output.alpha,
-                    q=output.q,
-                    deviation=output.deviation,
-                    converged=output.converged,
-                    used_fallback=output.used_fallback,
-                    fallback_reason=output.fallback_reason,
-                )
-            )
+        blocks = self._store.blocks
+        calculation = modulate(
+            RegionSums.of([state.param_s[block.block_id] for block in blocks]),
+            RegionSums.of([state.param_l[block.block_id] for block in blocks]),
+            state.pre_estimate.sketch0,
+            self.config,
+            sketch_interval_radius=state.pre_estimate.relaxed_precision,
+        )
+        if calculation.failed.any():
+            raise calculation.error(int(np.flatnonzero(calculation.failed)[0]))
+        block_results = calculation.block_results(
+            blocks, [state.samples_drawn[block.block_id] for block in blocks]
+        )
         value = combine_block_results(block_results)
         interval = ConfidenceInterval(
             center=value, radius=self.config.precision, confidence=self.config.confidence

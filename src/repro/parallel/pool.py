@@ -110,6 +110,27 @@ class PartialScanResult:
         failed = set(self.failed_indices)
         return [value for index, value in enumerate(self.results) if index not in failed]
 
+    def fail(self, index: int, key: Optional[int], error: BaseException) -> None:
+        """Record partition ``index`` as failed; failures stay in partition order.
+
+        A caller that finds a partition's result unusable after the scan
+        (ISLA's Calculation, for a block that does not converge) records it
+        here, exactly as if the error had escaped the partition task.
+        """
+        from repro.errors import InjectedFault
+
+        obs.counter("faults.partition.failed")
+        self.results[index] = None
+        self.failures.append(
+            PartitionFailure(
+                index=index,
+                key=key,
+                error=error,
+                injected=isinstance(error, InjectedFault),
+            )
+        )
+        self.failures.sort(key=lambda failure: failure.index)
+
 
 class ScanPool:
     """A bounded thread pool that maps ordered partition work.
@@ -164,16 +185,8 @@ class ScanPool:
                 injector.partition_scan(table, key)
             return function(item)
 
-        def failure(index: int, error: BaseException) -> PartitionFailure:
-            from repro.errors import InjectedFault
-
-            obs.counter("faults.partition.failed")
-            return PartitionFailure(
-                index=index,
-                key=keys[index] if keys is not None else None,
-                error=error,
-                injected=isinstance(error, InjectedFault),
-            )
+        def failure(result: PartialScanResult, index: int, error: BaseException) -> None:
+            result.fail(index, keys[index] if keys is not None else None, error)
 
         shard_count = max(1, min(int(parallelism), len(items)))
         if shard_count <= 1:
@@ -184,7 +197,7 @@ class ScanPool:
                 try:
                     result.results[index] = run_one(index, item)
                 except Exception as exc:  # noqa: BLE001 - typed into the report
-                    result.failures.append(failure(index, exc))
+                    failure(result, index, exc)
             return result
 
         executor = self._ensure_executor()
@@ -229,8 +242,7 @@ class ScanPool:
                 if ok:
                     result.results[index] = value
                 else:
-                    result.failures.append(failure(index, value))
-        result.failures.sort(key=lambda f: f.index)
+                    failure(result, index, value)
         return result
 
     def _scan_speculative(
@@ -269,7 +281,7 @@ class ScanPool:
                 unresolved.discard(index)
                 error = done.exception()
                 if error is not None:
-                    result.failures.append(failure(index, error))
+                    failure(result, index, error)
                 else:
                     result.results[index] = done.result()
             if unresolved and not speculated and time.monotonic() >= deadline:
@@ -280,7 +292,6 @@ class ScanPool:
                     speculated.add(index)
                 obs.counter("faults.speculated", len(speculated))
         result.speculated = len(speculated)
-        result.failures.sort(key=lambda f: f.index)
         return result
 
     def close(self) -> None:
