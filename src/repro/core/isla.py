@@ -87,6 +87,7 @@ class ISLAAggregator:
         # An explicit seed argument overrides the config seed for convenience.
         self._seed = seed if seed is not None else self.config.seed
         self._telemetry: Optional[obs.Telemetry] = None
+        self._owned_telemetry: Optional[obs.Telemetry] = None
         self._pool = pool
         resolved = parallelism if parallelism is not None else self.config.parallelism
         #: shards the block scan may run concurrently (1 = inline)
@@ -106,7 +107,7 @@ class ISLAAggregator:
 
     @property
     def telemetry(self) -> Optional[obs.Telemetry]:
-        """The aggregator-owned telemetry created by a forced config toggle."""
+        """Where the last run's spans went under a forced config toggle."""
         return self._telemetry
 
     def _telemetry_scope(self):
@@ -114,15 +115,22 @@ class ISLAAggregator:
 
         ``None`` defers to the ambient telemetry.  When the toggle already
         matches the ambient switch, spans keep flowing to the ambient sink
-        (e.g. the engine's or an EXPLAIN ANALYZE capture); otherwise an
-        aggregator-owned instance with the forced switch is activated.
+        (e.g. the engine's, an EXPLAIN ANALYZE capture or the
+        ``REPRO_TELEMETRY`` default); otherwise an aggregator-owned instance
+        with the forced switch is activated.  Either way :attr:`telemetry`
+        names the sink.
         """
         forced = self.config.telemetry
-        if forced is None or obs.active_telemetry().enabled == forced:
+        if forced is None:
             return nullcontext()
-        if self._telemetry is None or self._telemetry.enabled != forced:
-            self._telemetry = obs.Telemetry(enabled=forced)
-        return self._telemetry.activate()
+        ambient = obs.active_telemetry()
+        if ambient.enabled == forced:
+            self._telemetry = ambient
+            return nullcontext()
+        if self._owned_telemetry is None or self._owned_telemetry.enabled != forced:
+            self._owned_telemetry = obs.Telemetry(enabled=forced)
+        self._telemetry = self._owned_telemetry
+        return self._owned_telemetry.activate()
 
     # ------------------------------------------------------------------ AVG
     def aggregate_avg(

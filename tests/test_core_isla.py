@@ -81,6 +81,18 @@ class TestAggregateAvg:
         assert abs(result.value - 100.0) < 1.0
 
 
+class TestTelemetryToggle:
+    def test_forced_toggle_names_an_enabled_ambient_sink(self, normal_store):
+        from repro import obs
+
+        ambient = obs.Telemetry(enabled=True)
+        aggregator = ISLAAggregator(ISLAConfig(precision=0.5, telemetry=True), seed=3)
+        with ambient.activate():
+            aggregator.aggregate_avg(normal_store)
+        assert aggregator.telemetry is ambient
+        assert ambient.tracer.last_trace().name == "isla.aggregate"
+
+
 class TestConvergenceFailure:
     """A block that exhausts ``max_iterations`` is a failed partition."""
 
