@@ -47,6 +47,7 @@ __all__ = [
     "draw_sample",
     "region_sums",
     "modulate",
+    "calculate_blocks",
     "RegionSums",
     "Calculation",
 ]
