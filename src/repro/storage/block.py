@@ -24,6 +24,7 @@ class Block:
 
     block_id: int
     columns: Dict[str, np.ndarray] = field(default_factory=dict)
+    _size: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         lengths = {name: len(values) for name, values in self.columns.items()}
@@ -31,21 +32,21 @@ class Block:
             raise StorageError(
                 f"block {self.block_id}: columns have inconsistent lengths {lengths}"
             )
+        # Columns are never replaced after construction, so the row count is
+        # fixed here; the scan paths read it several times per block.
+        self._size = int(next(iter(lengths.values()), 0))
         self.columns = {
             name: np.asarray(values, dtype=float) for name, values in self.columns.items()
         }
 
     # ------------------------------------------------------------------ size
     def __len__(self) -> int:
-        if not self.columns:
-            return 0
-        first = next(iter(self.columns.values()))
-        return int(len(first))
+        return self._size
 
     @property
     def size(self) -> int:
         """Number of rows in this block (``|B_j|`` in the paper)."""
-        return len(self)
+        return self._size
 
     @property
     def column_names(self) -> tuple[str, ...]:

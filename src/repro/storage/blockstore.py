@@ -121,6 +121,11 @@ class BlockStore:
         This is how the paper draws the pilot set used to estimate ``sigma``
         and ``sketch0`` (Section III): "uniform samples are picked from each
         block with the sample size proportional to the block size".
+
+        Every row index comes from one ``rng.integers`` call whose bound is
+        each block's size repeated ``share`` times.  That draws the same
+        values, and leaves ``rng`` in the same state, as one
+        ``Block.sample_column`` call per block in block order (DESIGN.md §2).
         """
         column = self.validate_column(column)
         if sample_size <= 0:
@@ -129,14 +134,21 @@ class BlockStore:
         total = sizes.sum()
         if total == 0:
             raise EmptyDataError(f"block store {self.name!r} is empty")
-        pieces = []
-        for block, size in zip(self._blocks, sizes):
-            share = max(1, int(round(sample_size * size / total))) if size > 0 else 0
-            if share > 0:
-                pieces.append(block.sample_column(column, share, rng))
-        if not pieces:
+        # max(1, round(n * |B_j| / M)) per non-empty block; np.rint rounds
+        # half to even, as Python's round does.
+        shares = np.where(
+            sizes > 0, np.maximum(1.0, np.rint(sample_size * sizes / total)), 0.0
+        ).astype(np.int64)
+        if not shares.any():
             raise EmptyDataError(f"block store {self.name!r} produced an empty pilot sample")
-        return np.concatenate(pieces)
+        indices = rng.integers(0, np.repeat(sizes.astype(np.int64), shares))
+        stops = np.cumsum(shares).tolist()
+        starts = [0] + stops[:-1]
+        return np.concatenate([
+            block.column(column)[indices[start:stop]]
+            for block, start, stop in zip(self._blocks, starts, stops)
+            if stop > start
+        ])
 
     def uniform_sample(
         self,

@@ -19,6 +19,19 @@ class TestBlock:
         with pytest.raises(StorageError):
             Block(block_id=0, columns={"a": np.arange(3.0), "b": np.arange(4.0)})
 
+    def test_mismatch_after_matching_columns_rejected(self):
+        with pytest.raises(StorageError, match="inconsistent lengths"):
+            Block(block_id=0, columns={"a": np.ones(4), "b": np.ones(4), "c": np.ones(5)})
+
+    def test_block_without_columns_has_no_rows(self):
+        block = Block(block_id=3)
+        assert len(block) == 0
+        assert block.size == 0
+
+    def test_size_is_the_column_length(self):
+        block = Block.from_values(0, [1.0, 2.0, 3.0], extra_columns={"w": [4, 5, 6]})
+        assert block.size == len(block) == block.column("value").size == 3
+
     def test_unknown_column(self):
         block = Block.from_values(1, np.arange(5.0))
         with pytest.raises(UnknownColumnError):

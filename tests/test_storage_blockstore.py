@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import EmptyDataError, StorageError, UnknownColumnError
+from repro.storage.block import Block
 from repro.storage.blockstore import BlockStore, resolve_block_share
 from repro.storage.table import Table
 
@@ -127,12 +130,116 @@ class TestSampling:
         assert pooled.mean() == pytest.approx(expected_mean, rel=0.15)
 
 
+def reference_pilot(store, column, sample_size, rng):
+    """The block-by-block pilot draw: one ``sample_column`` call per block."""
+    column = store.validate_column(column)
+    if sample_size <= 0:
+        raise StorageError(f"pilot sample_size must be positive, got {sample_size}")
+    sizes = store.block_sizes()
+    total = sizes.sum()
+    if total == 0:
+        raise EmptyDataError(f"block store {store.name!r} is empty")
+    pieces = []
+    for block, size in zip(store.blocks, sizes):
+        share = max(1, int(round(sample_size * size / total))) if size > 0 else 0
+        if share > 0:
+            pieces.append(block.sample_column(column, share, rng))
+    if not pieces:
+        raise EmptyDataError(f"block store {store.name!r} produced an empty pilot sample")
+    return np.concatenate(pieces)
+
+
+def layout_store(sizes):
+    """A store whose block ``j`` holds ``sizes[j]`` distinct values."""
+    starts = np.cumsum([0] + list(sizes))
+    return BlockStore.from_block_arrays(
+        "layout", [np.arange(start, start + size, dtype=float)
+                   for start, size in zip(starts, sizes)]
+    )
+
+
+class TestPilotSampleOracle:
+    """``pilot_sample``'s single bounded draw against the per-block loop."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        sizes=st.lists(
+            st.one_of(st.just(0), st.integers(1, 50), st.integers(1, 5_000)),
+            min_size=1, max_size=24,
+        ).filter(any),
+        sample_size=st.integers(1, 12_000),
+        seed=st.integers(0, 2**32 - 1),
+        warm=st.integers(0, 3),
+    )
+    # one block; sample_size above M; zero-row blocks
+    @example(sizes=[7], sample_size=3, seed=1, warm=0)
+    @example(sizes=[3, 5], sample_size=20, seed=2, warm=0)
+    @example(sizes=[0, 4, 0, 9, 0], sample_size=5, seed=3, warm=1)
+    # shares of exactly .5: 0.5 -> 1 (the floor of one), 1.5 -> 2, 2.5 -> 2
+    @example(sizes=[1, 3], sample_size=2, seed=4, warm=0)
+    @example(sizes=[5, 5, 10], sample_size=1, seed=5, warm=0)
+    @example(sizes=[1, 1, 2], sample_size=10, seed=6, warm=1)
+    def test_matches_the_per_block_loop(self, sizes, sample_size, seed, warm):
+        store = layout_store(sizes)
+        expected_rng = np.random.default_rng(seed)
+        actual_rng = np.random.default_rng(seed)
+        # an odd number of 32-bit draws leaves half a 64-bit word buffered
+        expected_rng.integers(0, 7, size=warm)
+        actual_rng.integers(0, 7, size=warm)
+        expected = reference_pilot(store, None, sample_size, expected_rng)
+        actual = store.pilot_sample(None, sample_size, actual_rng)
+        assert np.array_equal(actual, expected)
+        assert actual_rng.bit_generator.state == expected_rng.bit_generator.state
+
+    def test_ties_round_half_to_even(self, rng):
+        # shares 2.5, 2.5, 5.0 round to 2, 2, 5, as Python's round does
+        store = layout_store([5, 5, 10])
+        pilot = store.pilot_sample(None, 10, rng)
+        assert pilot.size == 9
+        assert np.count_nonzero(pilot < 5) == 2
+        assert np.count_nonzero(pilot >= 10) == 5
+
+    @pytest.mark.parametrize("sample_size", [0, -3])
+    def test_non_positive_size_raises_before_drawing(self, small_store, sample_size):
+        rng = np.random.default_rng(9)
+        before = rng.bit_generator.state
+        with pytest.raises(StorageError, match="must be positive"):
+            small_store.pilot_sample(None, sample_size, rng)
+        assert rng.bit_generator.state == before
+
+    def test_store_of_empty_blocks_raises(self):
+        store = BlockStore.from_blocks(
+            "hollow", [Block.from_values(0, np.empty(0)), Block.from_values(1, np.empty(0))]
+        )
+        rng = np.random.default_rng(9)
+        before = rng.bit_generator.state
+        with pytest.raises(EmptyDataError, match="is empty"):
+            store.pilot_sample(None, 10, rng)
+        assert rng.bit_generator.state == before
+
+    def test_store_without_blocks_raises(self, rng):
+        with pytest.raises(EmptyDataError, match="has no blocks"):
+            BlockStore(name="none").pilot_sample(None, 10, rng)
+
+    def test_unknown_column_raises(self, small_store, rng):
+        with pytest.raises(UnknownColumnError):
+            small_store.pilot_sample("nope", 10, rng)
+
+
 class TestAppendBlock:
     def test_append_assigns_next_id(self, small_store):
         before = small_store.block_count
         block = small_store.append_block(np.arange(5.0))
         assert block.block_id == before
         assert small_store.block_count == before + 1
+
+    def test_total_rows_counts_appended_blocks(self, small_store):
+        small_store.append_block(np.arange(7.0))
+        small_store.append_block(np.arange(3.0))
+        assert small_store.total_rows == sum(
+            block.column("value").size for block in small_store.blocks
+        )
+        assert small_store.block_sizes()[-2:].tolist() == [7.0, 3.0]
 
     def test_append_empty_rejected(self, small_store):
         with pytest.raises(EmptyDataError):

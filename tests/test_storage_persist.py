@@ -126,6 +126,21 @@ class TestSnapshot:
             assert isinstance(values, np.memmap) or isinstance(values.base, np.memmap)
         durable.close()
 
+    def test_mmap_blocks_report_their_column_length(self, tmp_path, rng):
+        store = BlockStore.from_array("t", rng.normal(0.0, 1.0, 1003), block_count=4)
+        save_store(store, tmp_path / "t")
+        durable = DurableBlockStore.open(tmp_path / "t", mmap=True)
+        durable.append_block(rng.normal(0.0, 1.0, 17))
+        blocks = durable.store.blocks
+        assert [block.size for block in blocks] == [
+            block.size for block in store.blocks
+        ] + [17]
+        assert [len(block) for block in blocks] == [
+            block.column("value").size for block in blocks
+        ]
+        assert durable.store.total_rows == 1003 + 17
+        durable.close()
+
     def test_empty_store_refused(self, tmp_path):
         with pytest.raises(StorageError):
             save_store(BlockStore(name="empty"), tmp_path / "empty")
