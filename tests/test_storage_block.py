@@ -28,10 +28,6 @@ class TestBlock:
         assert len(block) == 0
         assert block.size == 0
 
-    def test_size_is_the_column_length(self):
-        block = Block.from_values(0, [1.0, 2.0, 3.0], extra_columns={"w": [4, 5, 6]})
-        assert block.size == len(block) == block.column("value").size == 3
-
     def test_unknown_column(self):
         block = Block.from_values(1, np.arange(5.0))
         with pytest.raises(UnknownColumnError):
